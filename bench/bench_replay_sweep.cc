@@ -173,7 +173,7 @@ main()
         {
             std::vector<trace::Record> block;
             while (file_reader.nextBlock(block))
-                blocks.push_back(block);
+                blocks.push_back(std::move(block));
         }
         const replay::ReplaySchedule schedule(header, std::move(blocks));
 
@@ -206,13 +206,16 @@ main()
         const std::vector<SweepPoint> grid = buildGrid(grid_cap);
         std::vector<std::unique_ptr<replay::ReplayEngine>> engines(
             grid.size());
+        const unsigned engine_threads =
+            replayThreads(cfg, grid.size(), header.num_cores);
+        report.config("replay_threads", engine_threads);
         const auto t0 = std::chrono::steady_clock::now();
         std::vector<std::function<void()>> jobs;
         for (std::size_t i = 0; i < grid.size(); ++i) {
             jobs.push_back([&, i] {
                 auto engine = std::make_unique<replay::ReplayEngine>(
                     applyPoint(recording, grid[i]), header);
-                engine->run(schedule);
+                engine->run(schedule, engine_threads);
                 engines[i] = std::move(engine);
             });
         }

@@ -179,7 +179,7 @@ main()
         {
             std::vector<trace::Record> block;
             while (file_reader.nextBlock(block))
-                blocks.push_back(block);
+                blocks.push_back(std::move(block));
         }
         const replay::ReplaySchedule schedule(header, std::move(blocks));
 
@@ -227,6 +227,9 @@ main()
 
         std::vector<std::unique_ptr<replay::ReplayEngine>> engines(
             points.size());
+        const unsigned engine_threads =
+            replayThreads(cfg, points.size(), header.num_cores);
+        report.config("replay_threads", engine_threads);
         const auto t1 = std::chrono::steady_clock::now();
         std::vector<std::function<void()>> replay_jobs;
         for (std::size_t i = 0; i < points.size(); ++i) {
@@ -240,7 +243,7 @@ main()
                 }
                 auto engine = std::make_unique<replay::ReplayEngine>(
                     params, header);
-                engine->run(schedule);
+                engine->run(schedule, engine_threads);
                 engines[i] = std::move(engine);
             });
         }

@@ -333,6 +333,20 @@ runJobs(const RunConfig &cfg, std::vector<std::function<void()>> jobs)
                 [&](std::size_t i) { jobs[i](); });
 }
 
+/**
+ * Replay threads for each of @p engines ReplayEngines that runJobs runs
+ * side by side: 1 when the pool runs more than one engine at a time (the
+ * pool already fills the CPUs), else one per recorded core, capped at
+ * the CPUs this process may use.
+ */
+inline unsigned
+replayThreads(const RunConfig &cfg, std::size_t engines, unsigned num_cores)
+{
+    if (std::min<std::size_t>(cfg.workers(), engines) > 1)
+        return 1;
+    return std::max(1u, std::min(num_cores, defaultWorkers()));
+}
+
 /** Stamp the harness configuration into a bench report. */
 inline void
 reportConfig(BenchReport &report, const RunConfig &cfg)

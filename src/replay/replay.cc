@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "common/parallel.hh"
 #include "common/stats.hh"
 #include "common/stats_export.hh"
 #include "tlb/page_walker.hh"
@@ -303,6 +304,33 @@ struct CoreModel
         mmu.addStat("miss_latency", &miss_latency);
     }
 
+    /** System::resetStats, mirrored: zero every counter of this core. */
+    void
+    resetStats()
+    {
+        accesses.reset();
+        l1_hits.reset();
+        l1_misses.reset();
+        l2_data_hits.reset();
+        l2_data_misses.reset();
+        l2_instr_hits.reset();
+        l2_instr_misses.reset();
+        l2_data_shared_hits.reset();
+        l2_instr_shared_hits.reset();
+        l2_long_accesses.reset();
+        walks.reset();
+        mem_steps.reset();
+        synth_walks.reset();
+        miss_latency.reset();
+        l1i->resetStats();
+        for (auto &t : l1d)
+            t->resetStats();
+        for (auto &t : l2)
+            t->resetStats();
+        pwc->resetStats();
+        rec = Counters{};
+    }
+
     stats::StatGroup group;
     stats::StatGroup mmu;
     std::unique_ptr<tlb::Tlb> l1i;
@@ -336,8 +364,8 @@ struct CoreModel
 };
 
 /**
- * The analyzed form of a trace: everything processBlock derives that
- * depends only on the records, not on the replayed machine. Shared
+ * The analyzed form of a trace: everything replay derives that depends
+ * only on the records, not on the replayed machine. Shared
  * read-only between engines in a sweep.
  */
 struct ReplaySchedule::Impl
@@ -349,7 +377,7 @@ struct ReplaySchedule::Impl
 
     /**
      * One parsed access unit: a translate attempt and its walk. The
-     * attempt's fields are copied out of the (core-interleaved) record
+     * attempt's fields are copied out of the records into a compact
      * array so the replay loop streams each core's units sequentially.
      */
     struct Unit
@@ -394,17 +422,37 @@ struct ReplaySchedule::Impl
         std::uint64_t ml_end_sum = 0; //!< Sum of recorded walk cycles.
     };
 
+    /**
+     * One TLB invalidation a fault-service span applies, decoded from
+     * its record. A Shootdown reaches every core; a raced CoW fault's
+     * stale-entry drop reaches only the faulting core (Mmu::translate's
+     * FaultKind::None path).
+     */
+    struct Invalidation
+    {
+        static constexpr unsigned all_cores = ~0u;
+        vm::TlbInvalidate inv;
+        unsigned core = all_cores; //!< The one core it reaches, if not all.
+    };
+
     struct Block
     {
         unsigned resets = 0;
-        /** Per-core causal streams: block records in seq order. */
-        std::vector<std::vector<const trace::Record *>> streams;
-        /** execs[c] has exactly one more element than spans[c]. */
-        std::vector<std::vector<Range>> execs, spans;
-        /** Per fault-service round, the span order: (fault ts, core). */
-        std::vector<std::vector<unsigned>> rounds;
+        /**
+         * Per core, the block's records in seq order (the causal
+         * stream), owned; WalkInfo points into these. Keeping each
+         * core's records contiguous means a core's replay job streams
+         * only its own records instead of every core's interleaved ones.
+         */
+        std::vector<std::vector<trace::Record>> streams;
+        /**
+         * Per fault-service round, the invalidations its spans apply, in
+         * the recording's span order: (fault ts, core).
+         */
+        std::vector<std::vector<Invalidation>> rounds;
         /** Parsed units of all exec segments, in stream order;
-         *  exec_units[c][k] is the unit range of exec segment k. */
+         *  exec_units[c][k] is the unit range of exec segment k, and
+         *  segment k > 0 resumes after fault-service round k - 1. */
         std::vector<std::vector<Unit>> units;
         std::vector<std::vector<WalkInfo>> walks;
         std::vector<std::vector<Range>> exec_units;
@@ -414,12 +462,10 @@ struct ReplaySchedule::Impl
     unsigned num_cores = 0;
     bool babelfish = false;
     /**
-     * The decoded trace records, owned. Every Record pointer in the
-     * blocks below (streams, WalkInfo) points into these vectors, which
-     * are never touched again after construction — that immutability is
+     * The analyzed blocks. They own the records (Block::streams) and are
+     * never touched again after construction — that immutability is
      * what makes a schedule shareable across threads.
      */
-    std::vector<std::vector<trace::Record>> records;
     std::vector<Block> blocks;
 
     /**
@@ -497,12 +543,12 @@ struct ReplaySchedule::Impl
 
     /** Parse one exec segment's records into access units. */
     static void
-    parseExec(const std::vector<const trace::Record *> &s, Range e,
+    parseExec(const std::vector<trace::Record> &s, Range e,
               std::vector<Unit> &units, std::vector<WalkInfo> &walks)
     {
         std::size_t i = e.begin;
         while (i < e.end) {
-            const trace::Record *r = s[i];
+            const trace::Record *r = &s[i];
             const auto type = static_cast<trace::EventType>(r->type);
             if (type == trace::EventType::TlbL1Hit ||
                 type == trace::EventType::TlbL2Hit) {
@@ -516,38 +562,38 @@ struct ReplaySchedule::Impl
                                   " event outside a walk (corrupt or "
                                   "unreplayable trace)");
             if (i + 1 >= e.end ||
-                s[i + 1]->type !=
+                s[i + 1].type !=
                     static_cast<std::uint8_t>(
                         trace::EventType::WalkStart))
                 throw ReplayError("TlbMiss not followed by WalkStart");
             WalkInfo w;
             std::size_t j = i + 2;
             while (j < e.end &&
-                   (s[j]->type ==
+                   (s[j].type ==
                         static_cast<std::uint8_t>(
                             trace::EventType::PwcHit) ||
-                    s[j]->type ==
+                    s[j].type ==
                         static_cast<std::uint8_t>(
                             trace::EventType::WalkStep))) {
                 if (w.num_steps == WalkInfo::max_steps)
                     throw ReplayError("walk with more steps than a "
                                       "4-level page table can produce");
-                w.steps[w.num_steps++] = s[j++];
+                w.steps[w.num_steps++] = &s[j++];
             }
             if (j >= e.end ||
-                s[j]->type !=
+                s[j].type !=
                     static_cast<std::uint8_t>(trace::EventType::WalkEnd))
                 throw ReplayError("walk without a WalkEnd");
-            w.end = s[j++];
+            w.end = &s[j++];
             if (static_cast<tlb::WalkStatus>(w.end->flags) ==
                 tlb::WalkStatus::Ok) {
                 if (j >= e.end ||
-                    s[j]->type !=
+                    s[j].type !=
                         static_cast<std::uint8_t>(
                             trace::EventType::TlbFill))
                     throw ReplayError(
                         "successful walk without a TlbFill");
-                w.fill = s[j++];
+                w.fill = &s[j++];
             }
             units.push_back(Unit::fromRecord(
                 *r, static_cast<std::uint32_t>(walks.size())));
@@ -604,56 +650,102 @@ struct ReplaySchedule::Impl
         }
     }
 
-    /** The config-independent half of processBlock. */
+    /**
+     * The invalidation a kernel-span record applies, if any.
+     * CowPrivatize / MaskFallback records are informational.
+     */
+    static bool
+    invalidationOf(const trace::Record &r, unsigned owner,
+                   Invalidation &out)
+    {
+        vm::TlbInvalidate &inv = out.inv;
+        inv.ccid = r.ccid;
+        if (r.type ==
+            static_cast<std::uint8_t>(trace::EventType::Shootdown)) {
+            inv.kind = static_cast<vm::TlbInvalidate::Kind>(r.flags);
+            inv.pcid = trace::shootdownPcid(r.arg);
+            inv.size =
+                static_cast<PageSize>(trace::shootdownSize(r.arg));
+            inv.num_pages = trace::shootdownPages(r.arg);
+            out.core = Invalidation::all_cores;
+        } else if (r.type == static_cast<std::uint8_t>(
+                                 trace::EventType::FaultService) &&
+                   trace::faultDeclaredCow(r.arg) &&
+                   static_cast<vm::FaultKind>(r.flags) ==
+                       vm::FaultKind::None) {
+            inv.kind = vm::TlbInvalidate::Kind::Page;
+            inv.pcid = trace::faultPcid(r.arg);
+            inv.size =
+                static_cast<PageSize>(trace::faultStaleSize(r.arg));
+            inv.num_pages = 1;
+            out.core = owner;
+        } else {
+            return false;
+        }
+        inv.vpn = r.vpage >> (pageShift(inv.size) - basePageShift);
+        return true;
+    }
+
+    /** Analyze one block: everything about it replay needs that does
+     *  not depend on the replayed machine. */
     static Block
     analyze(unsigned n, const std::vector<trace::Record> &block)
     {
         Block sb;
-        sb.streams.resize(n);
+        std::vector<std::size_t> counts(n, 0);
         for (const trace::Record &r : block) {
             if (r.core >= n)
                 throw ReplayError("record core out of range");
+            ++counts[r.core];
+        }
+        sb.streams.resize(n);
+        for (unsigned c = 0; c < n; ++c)
+            sb.streams[c].reserve(counts[c]);
+        for (const trace::Record &r : block) {
             if (r.type ==
                 static_cast<std::uint8_t>(trace::EventType::StatsReset)) {
                 ++sb.resets;
                 continue;
             }
-            sb.streams[r.core].push_back(&r);
+            sb.streams[r.core].push_back(r);
         }
         // (ts, core, seq) block order filtered per core is ts-ordered
-        // but the causal ground truth is the per-core seq order.
+        // but the causal ground truth is the per-core seq order (seq is
+        // unique per core, so the sorted order is unique too).
+        auto bySeq = [](const trace::Record &a, const trace::Record &b) {
+            return a.seq < b.seq;
+        };
         for (auto &s : sb.streams)
-            std::sort(s.begin(), s.end(),
-                      [](const trace::Record *a, const trace::Record *b) {
-                          return a->seq < b->seq;
-                      });
+            if (!std::is_sorted(s.begin(), s.end(), bySeq))
+                std::sort(s.begin(), s.end(), bySeq);
+        const auto &streams = sb.streams;
 
         // Per core: alternating exec segments and kernel spans, where a
         // span is the kernel events of one fault service (ending at its
-        // FaultService record). execs[k] precedes spans[k].
-        sb.execs.resize(n);
-        sb.spans.resize(n);
+        // FaultService record). execs[c][k] precedes spans[c][k], so
+        // execs[c] has exactly one more element than spans[c].
+        std::vector<std::vector<Range>> execs(n), spans(n);
         for (unsigned c = 0; c < n; ++c) {
-            const auto &s = sb.streams[c];
+            const auto &s = streams[c];
             std::size_t i = 0;
             while (true) {
                 const std::size_t b = i;
-                while (i < s.size() && !isKernelEvent(s[i]->type))
+                while (i < s.size() && !isKernelEvent(s[i].type))
                     ++i;
-                sb.execs[c].push_back({b, i});
+                execs[c].push_back({b, i});
                 if (i == s.size())
                     break;
                 const std::size_t kb = i;
-                while (i < s.size() && isKernelEvent(s[i]->type)) {
+                while (i < s.size() && isKernelEvent(s[i].type)) {
                     const bool fin =
-                        s[i]->type ==
+                        s[i].type ==
                         static_cast<std::uint8_t>(
                             trace::EventType::FaultService);
                     ++i;
                     if (fin)
                         break;
                 }
-                sb.spans[c].push_back({kb, i});
+                spans[c].push_back({kb, i});
             }
         }
 
@@ -663,21 +755,27 @@ struct ReplaySchedule::Impl
         for (std::size_t round = 0;; ++round) {
             std::vector<unsigned> active;
             for (unsigned c = 0; c < n; ++c)
-                if (round < sb.spans[c].size())
+                if (round < spans[c].size())
                     active.push_back(c);
             if (active.empty())
                 break;
             std::sort(active.begin(), active.end(),
                       [&](unsigned a, unsigned b) {
                           const Cycles ta =
-                              sb.streams[a][sb.spans[a][round].end - 1]
-                                  ->ts;
+                              streams[a][spans[a][round].end - 1].ts;
                           const Cycles tb =
-                              sb.streams[b][sb.spans[b][round].end - 1]
-                                  ->ts;
+                              streams[b][spans[b][round].end - 1].ts;
                           return ta != tb ? ta < tb : a < b;
                       });
-            sb.rounds.push_back(std::move(active));
+            std::vector<Invalidation> &invs = sb.rounds.emplace_back();
+            for (unsigned c : active) {
+                const Range span = spans[c][round];
+                for (std::size_t i = span.begin; i < span.end; ++i) {
+                    Invalidation inv;
+                    if (invalidationOf(streams[c][i], c, inv))
+                        invs.push_back(inv);
+                }
+            }
         }
 
         // Parse every exec segment into access units up front and tally
@@ -688,9 +786,9 @@ struct ReplaySchedule::Impl
         sb.exec_units.resize(n);
         sb.tallies.resize(n);
         for (unsigned c = 0; c < n; ++c) {
-            for (const Range &e : sb.execs[c]) {
+            for (const Range &e : execs[c]) {
                 const std::size_t b = sb.units[c].size();
-                parseExec(sb.streams[c], e, sb.units[c], sb.walks[c]);
+                parseExec(streams[c], e, sb.units[c], sb.walks[c]);
                 sb.exec_units[c].push_back({b, sb.units[c].size()});
             }
             for (const Unit &u : sb.units[c])
@@ -744,8 +842,9 @@ struct ReplayEngine::Impl
     std::vector<std::unique_ptr<CoreModel>> cores;
 
     /**
-     * The schedule currently being replayed: synthesis consults its
-     * learned attribute/memo tables. Set by run(), read-only here.
+     * The schedule currently being replayed: replayCore walks its
+     * blocks and synthesis consults its learned attribute/memo tables.
+     * Set by run() before the per-core jobs start; read-only in them.
      */
     const ReplaySchedule::Impl *knowledge = nullptr;
 
@@ -1200,67 +1299,15 @@ struct ReplayEngine::Impl
         }
     }
 
-    // ---- Kernel spans -------------------------------------------------
+    // ---- Exec segments ------------------------------------------------
 
     void
-    applySpan(unsigned core,
-              const std::vector<const trace::Record *> &s, size_t begin,
-              size_t end)
+    processExec(CoreModel &cm, unsigned c,
+                const ReplaySchedule::Impl::Block &sb, std::size_t seg)
     {
-        for (size_t i = begin; i < end; ++i) {
-            const trace::Record *r = s[i];
-            switch (static_cast<trace::EventType>(r->type)) {
-              case trace::EventType::Shootdown: {
-                vm::TlbInvalidate inv;
-                inv.kind =
-                    static_cast<vm::TlbInvalidate::Kind>(r->flags);
-                inv.ccid = r->ccid;
-                inv.pcid = trace::shootdownPcid(r->arg);
-                inv.size = static_cast<PageSize>(
-                    trace::shootdownSize(r->arg));
-                inv.num_pages = trace::shootdownPages(r->arg);
-                inv.vpn = r->vpage >>
-                          (pageShift(inv.size) - basePageShift);
-                for (auto &cm : cores)
-                    applyInvalidate(*cm, inv);
-                break;
-              }
-              case trace::EventType::FaultService:
-                // A raced CoW fault resolved without kernel work: only
-                // the faulting core's stale entry is dropped
-                // (Mmu::translate's FaultKind::None path).
-                if (trace::faultDeclaredCow(r->arg) &&
-                    static_cast<vm::FaultKind>(r->flags) ==
-                        vm::FaultKind::None) {
-                    const auto size = static_cast<PageSize>(
-                        trace::faultStaleSize(r->arg));
-                    vm::TlbInvalidate inv;
-                    inv.kind = vm::TlbInvalidate::Kind::Page;
-                    inv.ccid = r->ccid;
-                    inv.pcid = trace::faultPcid(r->arg);
-                    inv.size = size;
-                    inv.num_pages = 1;
-                    inv.vpn = r->vpage >>
-                              (pageShift(size) - basePageShift);
-                    applyInvalidate(*cores[core], inv);
-                }
-                break;
-              default:
-                break; // CowPrivatize / MaskFallback: informational.
-            }
-        }
-    }
-
-    // ---- Exec segments: parse access units ----------------------------
-
-    void
-    processExec(unsigned core, const ReplaySchedule::Impl::Block &sb,
-                std::size_t seg)
-    {
-        CoreModel &cm = *cores[core];
-        const auto range = sb.exec_units[core][seg];
-        const auto &units = sb.units[core];
-        const auto &walks = sb.walks[core];
+        const auto range = sb.exec_units[c][seg];
+        const auto &units = sb.units[c];
+        const auto &walks = sb.walks[c];
         for (std::size_t i = range.begin; i < range.end; ++i)
             applyAttempt(
                 cm, units[i],
@@ -1269,76 +1316,52 @@ struct ReplayEngine::Impl
                     : &walks[units[i].walk]);
     }
 
-    void
-    resetAllStats()
-    {
-        for (auto &cm : cores) {
-            cm->accesses.reset();
-            cm->l1_hits.reset();
-            cm->l1_misses.reset();
-            cm->l2_data_hits.reset();
-            cm->l2_data_misses.reset();
-            cm->l2_instr_hits.reset();
-            cm->l2_instr_misses.reset();
-            cm->l2_data_shared_hits.reset();
-            cm->l2_instr_shared_hits.reset();
-            cm->l2_long_accesses.reset();
-            cm->walks.reset();
-            cm->mem_steps.reset();
-            cm->synth_walks.reset();
-            cm->miss_latency.reset();
-            cm->l1i->resetStats();
-            for (auto &t : cm->l1d)
-                t->resetStats();
-            for (auto &t : cm->l2)
-                t->resetStats();
-            cm->pwc->resetStats();
-            cm->rec = Counters{};
-        }
-    }
-
-    // ---- Per-block driver ---------------------------------------------
+    // ---- Per-core replay loop -----------------------------------------
 
     /**
-     * Replay the recording's global order: all bound segments, then
-     * rounds of fault services — the round's spans in (fault ts, core)
-     * order, then the faulting cores' resumed segments.
+     * Replay core @p c's whole history. Cores are independent here: a
+     * core's TLBs, PWC and backend structures are touched only by its
+     * own exec segments and by the recorded invalidations that reach it,
+     * and the trace fixes both. So each core follows, per block, the
+     * recording's order as that core saw it — stats resets, its bound
+     * segment, then each fault-service round's invalidations that reach
+     * it, in (fault ts, core) span order, followed by its own resumed
+     * segment — and any number of cores can run this concurrently, one
+     * thread each (DESIGN.md §13).
      */
     void
-    executeBlock(const ReplaySchedule::Impl::Block &sb)
+    replayCore(unsigned c)
     {
-        // System::resetStats happens between chunks; its marker leads
-        // the next block, so the reset applies before any of its events.
-        for (unsigned i = 0; i < sb.resets; ++i)
-            resetAllStats();
+        CoreModel &cm = *cores[c];
+        const Cycles walk_entry_cycles =
+            1 + (p.babelfish && p.aslr_hw ? p.aslr_transform_cycles : 0) +
+            p.l2_4k.access_cycles;
+        for (const auto &sb : knowledge->blocks) {
+            // System::resetStats happens between chunks; its marker
+            // leads the next block, so it applies before any event.
+            for (unsigned i = 0; i < sb.resets; ++i)
+                cm.resetStats();
 
-        const unsigned n = static_cast<unsigned>(cores.size());
-
-        // The recorded-side tallies were accumulated per block when the
-        // schedule was built (they are config-independent); only the
-        // miss-latency sum folds in configured per-access costs here.
-        for (unsigned c = 0; c < n; ++c) {
+            // The recorded-side tallies were accumulated when the
+            // schedule was built (they are config-independent); only
+            // the miss-latency sum folds in configured per-access costs.
             const auto &t = sb.tallies[c];
             Counters d = t.rec;
-            d.miss_latency_sum =
-                t.rec.miss_latency_count *
-                    (1 +
-                     (p.babelfish && p.aslr_hw ? p.aslr_transform_cycles
-                                               : 0) +
-                     p.l2_4k.access_cycles) +
-                t.ml_long * p.l2_4k.bitmask_extra_cycles + t.ml_end_sum;
-            cores[c]->rec += d;
-        }
+            d.miss_latency_sum = t.rec.miss_latency_count * walk_entry_cycles +
+                                 t.ml_long * p.l2_4k.bitmask_extra_cycles +
+                                 t.ml_end_sum;
+            cm.rec += d;
 
-        for (unsigned c = 0; c < n; ++c)
-            processExec(c, sb, 0);
-        for (size_t round = 0; round < sb.rounds.size(); ++round) {
-            for (unsigned c : sb.rounds[round])
-                applySpan(c, sb.streams[c], sb.spans[c][round].begin,
-                          sb.spans[c][round].end);
-            for (unsigned c = 0; c < n; ++c)
-                if (round < sb.spans[c].size())
-                    processExec(c, sb, round + 1);
+            processExec(cm, c, sb, 0);
+            for (std::size_t round = 0; round < sb.rounds.size(); ++round) {
+                for (const auto &i : sb.rounds[round])
+                    if (i.core == c ||
+                        i.core == ReplaySchedule::Impl::Invalidation::
+                                      all_cores)
+                        applyInvalidate(cm, i.inv);
+                if (round + 1 < sb.exec_units[c].size())
+                    processExec(cm, c, sb, round + 1);
+            }
         }
     }
 
@@ -1388,14 +1411,16 @@ ReplayEngine::run(trace::TraceReader &reader)
 }
 
 void
-ReplayEngine::run(const ReplaySchedule &schedule)
+ReplayEngine::run(const ReplaySchedule &schedule, unsigned threads)
 {
     if (schedule.numCores() != numCores())
         throw ReplayError("schedule was built for a different core "
                           "count than this engine's trace header");
     impl_->knowledge = schedule.impl_.get();
-    for (const auto &sb : schedule.impl_->blocks)
-        impl_->executeBlock(sb);
+    runParallel(numCores(), threads ? threads : defaultWorkers(),
+                [this](std::size_t c) {
+                    impl_->replayCore(static_cast<unsigned>(c));
+                });
 }
 
 ReplaySchedule::ReplaySchedule(
@@ -1413,13 +1438,14 @@ ReplaySchedule::ReplaySchedule(
 {
     impl_->num_cores = header.num_cores;
     impl_->babelfish = header.config.babelfish;
-    // Take ownership first: analyze() stores pointers to individual
-    // records, so they must already live in their final home.
-    impl_->records = std::move(blocks);
-    impl_->blocks.reserve(impl_->records.size());
-    for (const auto &block : impl_->records) {
+    // analyze() copies each block's records into per-core streams, so
+    // each decoded block is freed as soon as it has been analyzed.
+    std::vector<std::vector<trace::Record>> decoded = std::move(blocks);
+    impl_->blocks.reserve(decoded.size());
+    for (auto &block : decoded) {
         impl_->blocks.push_back(Impl::analyze(header.num_cores, block));
         impl_->learn(block);
+        std::vector<trace::Record>().swap(block);
     }
 }
 

@@ -145,8 +145,9 @@ struct CounterDiff
  * The analyzed form of one decoded trace — everything replay derives
  * from the records alone, independent of the machine configuration:
  *
- *  - per block, the per-core causal streams (seq order), their
- *    exec/span segmentation and the fault-service round order;
+ *  - per block, the per-core causal streams (seq order, each core's
+ *    records stored contiguously), their exec segments and, per
+ *    fault-service round, the TLB invalidations in span order;
  *  - the synthesis knowledge: leaf attributes of every recorded
  *    TlbFill and page-table entry addresses of every recorded walk
  *    step, used to synthesize walks a swept geometry takes where the
@@ -174,7 +175,8 @@ class ReplaySchedule
     ReplaySchedule(const trace::TraceHeader &header,
                    const std::vector<std::vector<trace::Record>> &blocks);
 
-    /** As above, but takes ownership of the decoded blocks directly. */
+    /** As above, but consumes the decoded blocks: each is freed once
+     *  analyzed, so peak memory holds the records about once. */
     ReplaySchedule(const trace::TraceHeader &header,
                    std::vector<std::vector<trace::Record>> &&blocks);
     ~ReplaySchedule();
@@ -219,8 +221,16 @@ class ReplayEngine
      * schedule's core count must match the engine's. The schedule is
      * only read: any number of engines may run the same schedule from
      * different threads concurrently, one engine per thread.
+     *
+     * Each recorded core's history replays as an independent job on up
+     * to @p threads threads (0: one per core, capped at the CPUs this
+     * process may use). The result — every counter and statsJson() —
+     * is byte-identical at any thread count; a ReplayError raised by a
+     * core's job is rethrown here (the lowest-numbered core's, if
+     * several fail). Callers that already run engines concurrently pass
+     * threads = 1 so as not to oversubscribe the host.
      */
-    void run(const ReplaySchedule &schedule);
+    void run(const ReplaySchedule &schedule, unsigned threads = 0);
 
     unsigned numCores() const;
 

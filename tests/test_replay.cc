@@ -9,6 +9,10 @@
  *    mid-run resetStats boundary;
  *  - schedule sharing: a ReplaySchedule owns its decoded records and
  *    backs concurrent ReplayEngines from multiple threads;
+ *  - per-core threading: an engine's result is byte-identical at any
+ *    replay thread count (recording config, a swept geometry and the
+ *    competitor backends), and a core job's ReplayError reaches the
+ *    caller of run() instead of aborting the process;
  *  - sweep sanity: growing the L2 TLB associativity at a fixed set
  *    count never increases misses on a fixed trace (LRU stack
  *    inclusion);
@@ -33,6 +37,7 @@
 #include "core/system.hh"
 #include "replay/replay.hh"
 #include "workloads/apps.hh"
+#include "workloads/trace.hh"
 
 using namespace bf;
 using namespace bf::core;
@@ -129,6 +134,59 @@ runTracedMix(unsigned workers, const std::string &trace_path,
     sys.resetStats();
     sys.run(msToCycles(1));
     return liveCounters(sys);
+}
+
+/**
+ * Two processes of one CCID group on two cores, both mapping the same
+ * file MAP_PRIVATE: core 1 keeps re-reading 64 pages while core 0 reads
+ * them, then writes each one. Every CoW write shoots down the group's
+ * shared entry on both cores, so core 1's next read of that page
+ * misses — replay reproduces that only if the shootdown reaches core
+ * 1's job (the mongodb mix above produces no shootdowns at all).
+ */
+void
+runTracedCrossCoreCow(const std::string &trace_path)
+{
+    constexpr Addr va = 0x7f00'0000'0000ull;
+    constexpr int pages = 64;
+    SystemParams params = SystemParams::babelfish();
+    params.num_cores = 2;
+    params.sync_chunk = 2000;
+    params.kernel.mem_frames = 1 << 22;
+    params.trace_path = trace_path;
+    params.trace_events = trace::allEvents;
+    System sys(params);
+    vm::Kernel &kernel = sys.kernel();
+    const Ccid group = kernel.createGroup("g", 1);
+    vm::MappedObject *file = kernel.createFile("f", pages * 0x1000);
+    file->preload(kernel.frames());
+
+    std::vector<MemRef> reads, writer;
+    for (int i = 0; i < pages; ++i) {
+        MemRef ref;
+        ref.va = va + i * 0x1000;
+        ref.instrs = 50;
+        reads.push_back(ref);
+    }
+    for (int k = 0; k < 5; ++k)
+        writer.insert(writer.end(), reads.begin(), reads.end());
+    for (MemRef ref : reads) {
+        ref.type = AccessType::Write;
+        writer.push_back(ref);
+    }
+    writer.insert(writer.end(), reads.begin(), reads.end());
+
+    std::vector<std::unique_ptr<workloads::TraceThread>> threads;
+    for (unsigned c = 0; c < 2; ++c) {
+        vm::Process *proc = kernel.createProcess(group, "t");
+        kernel.mmapObject(*proc, file, va, pages * 0x1000, 0,
+                          /*writable=*/true, /*exec=*/false,
+                          /*shared=*/false);
+        threads.push_back(std::make_unique<workloads::TraceThread>(
+            "t", proc, c == 0 ? writer : reads, c == 0 ? 1 : 40));
+        sys.addThread(c, threads.back().get());
+    }
+    sys.runUntilFinished(msToCycles(100));
 }
 
 /** Compare one reconstructed counter set against the live ground truth. */
@@ -259,6 +317,123 @@ TEST(Replay, ScheduleSharedAcrossThreads)
             expectEqualCounters(live[c], engine->replayed(c), c,
                                 "concurrent replay");
     }
+}
+
+// ---------------------------------------------------------------------
+// Per-core replay threads
+// ---------------------------------------------------------------------
+
+// Each core's history replays as its own job, so the thread count must
+// not show in the result: threads=1 and threads=4 give byte-identical
+// stats trees and per-core counters at the recording config (where the
+// replay must also validate), at a swept point (smaller L2, PWC and
+// O-PC width, so the mix synthesizes walks) and under both competitor
+// backends — on the mongodb mix and on a cross-core CoW trace whose
+// shootdowns must reach the other core's job.
+TEST(Replay, ThreadCountDoesNotChangeResults)
+{
+    const std::string mix_path = tmpPath("replay-threads.trace");
+    const std::string cow_path = tmpPath("replay-threads-cow.trace");
+    runTracedMix(1, mix_path);
+    runTracedCrossCoreCow(cow_path);
+
+    for (const std::string &path : {mix_path, cow_path}) {
+        SCOPED_TRACE(path);
+        trace::TraceReader reader(path);
+        const trace::TraceHeader header = reader.header();
+        std::vector<std::vector<trace::Record>> blocks;
+        std::vector<trace::Record> block;
+        std::uint64_t shootdowns = 0;
+        while (reader.nextBlock(block)) {
+            for (const trace::Record &r : block)
+                shootdowns +=
+                    r.type == static_cast<std::uint8_t>(
+                                  trace::EventType::Shootdown);
+            blocks.push_back(std::move(block));
+        }
+        if (path == cow_path) {
+            EXPECT_GT(shootdowns, 0u) << "the CoW trace must shoot down";
+        }
+        const replay::ReplaySchedule schedule(header, std::move(blocks));
+
+        const replay::ReplayParams recording =
+            replay::paramsFromTrace(header.config);
+        replay::ReplayParams swept = recording;
+        for (tlb::TlbParams *tp :
+             {&swept.l2_4k, &swept.l2_2m, &swept.l2_1g}) {
+            tp->entries = 768;
+            tp->assoc = 6;
+        }
+        swept.pwc.entries_per_level = 16;
+        swept.opc_width = 8;
+        replay::ReplayParams victima = recording;
+        victima.backend = translate::BackendKind::Victima;
+        replay::ReplayParams coalesced = recording;
+        coalesced.backend = translate::BackendKind::Coalesced;
+
+        const std::pair<const char *, replay::ReplayParams> points[] = {
+            {"recording", recording},
+            {"swept", swept},
+            {"victima", victima},
+            {"coalesced", coalesced},
+        };
+        for (const auto &[name, params] : points) {
+            SCOPED_TRACE(name);
+            replay::ReplayEngine one(params, header);
+            replay::ReplayEngine four(params, header);
+            one.run(schedule, 1);
+            four.run(schedule, 4);
+            EXPECT_EQ(one.statsJson(), four.statsJson());
+            for (unsigned c = 0; c < one.numCores(); ++c) {
+                EXPECT_EQ(one.replayed(c).accesses,
+                          four.replayed(c).accesses);
+                expectEqualCounters(one.replayed(c), four.replayed(c), c,
+                                    "replayed");
+                EXPECT_EQ(one.recorded(c).accesses,
+                          four.recorded(c).accesses);
+                expectEqualCounters(one.recorded(c), four.recorded(c), c,
+                                    "recorded");
+            }
+            if (std::string(name) == "recording") {
+                EXPECT_TRUE(one.validate().empty());
+                EXPECT_TRUE(four.validate().empty());
+            } else if (std::string(name) == "swept" && path == mix_path) {
+                EXPECT_EQ(one.statsJson().find("\"synth_walks\":0,"),
+                          std::string::npos)
+                    << "the swept point should synthesize walks";
+            }
+        }
+    }
+}
+
+// A core job that fails mid-replay (here: the recording hit a
+// translation the trace never filled) throws ReplayError out of run()
+// on the calling thread, even when the failing core ran on a worker.
+TEST(Replay, CoreJobErrorSurfacesFromRun)
+{
+    trace::TraceHeader header;
+    header.num_cores = 2;
+    header.event_mask = trace::allEvents;
+    for (trace::TraceTlbConfig &t : header.config.tlb) {
+        t.entries = 64;
+        t.assoc = 4;
+    }
+    header.config.pwc_entries_per_level = 16;
+    header.config.pwc_assoc = 4;
+    header.config.pwc_levels = 3;
+    header.config.pwc_access_cycles = 1;
+
+    trace::Record hit;
+    hit.core = 1;
+    hit.pid = 1;
+    hit.vpage = 0x1234;
+    hit.type = static_cast<std::uint8_t>(trace::EventType::TlbL1Hit);
+    const replay::ReplaySchedule schedule(
+        header, std::vector<std::vector<trace::Record>>{{hit}});
+
+    replay::ReplayEngine engine(replay::paramsFromTrace(header.config),
+                                header);
+    EXPECT_THROW(engine.run(schedule, 2), replay::ReplayError);
 }
 
 // ---------------------------------------------------------------------

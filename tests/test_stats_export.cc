@@ -13,6 +13,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -346,6 +348,57 @@ TEST(Parallel, MoreWorkersThanTasks)
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1u);
 }
+
+// A throwing job neither aborts the process nor stops the other jobs:
+// every job runs, and the caller gets the exception of the lowest
+// failing index — the same one at any worker count.
+TEST(Parallel, RethrowsLowestIndexExceptionAfterAllJobsFinish)
+{
+    constexpr std::size_t n = 32;
+    for (unsigned workers : { 1u, 4u, 16u }) {
+        std::vector<std::atomic<unsigned>> hits(n);
+        try {
+            runParallel(n, workers, [&](std::size_t i) {
+                ++hits[i];
+                if (i % 10 == 7) // Jobs 7, 17 and 27 fail.
+                    throw std::runtime_error("job " + std::to_string(i));
+            });
+            FAIL() << "no exception at " << workers << " workers";
+        } catch (const std::runtime_error &err) {
+            EXPECT_STREQ(err.what(), "job 7") << workers << " workers";
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1u)
+                << "index " << i << " at " << workers << " workers";
+    }
+}
+
+#ifdef __linux__
+// defaultWorkers() counts the CPUs in the affinity mask, so a process
+// pinned with taskset (or confined by a cgroup CPU set) never spawns
+// more workers than it may run on.
+TEST(Parallel, DefaultWorkersFollowsAffinityMask)
+{
+    cpu_set_t original;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+    EXPECT_EQ(defaultWorkers(),
+              static_cast<unsigned>(CPU_COUNT(&original)));
+
+    // Pin this thread to one of its CPUs: the default drops to 1.
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &original)) {
+            CPU_SET(cpu, &one);
+            break;
+        }
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = defaultWorkers();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+    EXPECT_EQ(pinned, 1u);
+}
+#endif
 
 // ---------------------------------------------------------------------
 // System integration: sampling + run_capped
