@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot components:
  * TLB lookups (conventional vs BabelFish), cache and DRAM accesses,
- * page walks, fault handling, fork, and the weave machinery (ladder
- * merge vs the sort it replaced, pooled vs fresh epoch-log buffers).
+ * page walks, fault handling, fork, the weave machinery (ladder
+ * merge vs the sort it replaced, pooled vs fresh epoch-log buffers) and
+ * the trace flush at a weave barrier.
  * These quantify the cost of the BabelFish lookup logic in the model
  * and keep the simulator's own performance in check.
  */
@@ -12,9 +13,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 
 #include "bench/common.hh"
 #include "common/object_pool.hh"
+#include "common/trace/trace.hh"
 #include "core/epoch.hh"
 #include "core/mmu.hh"
 #include "mem/hierarchy.hh"
@@ -500,6 +503,62 @@ BM_EpochLogFresh(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kMergeEvents);
 }
 BENCHMARK(BM_EpochLogFresh);
+
+constexpr unsigned kFlushCores = 4;
+constexpr std::size_t kFlushRecords = 12500; //!< Per core: ~50 k a barrier.
+
+/**
+ * One weave barrier's trace flush (Tracer::flushBarrier): merge four
+ * per-core buffers of timestamp-ordered records, shaped like a traced
+ * 4-core run's (irregular strides, cross-core ties), encode them and
+ * append the block to a temporary file. Each iteration opens a fresh
+ * tracer and flushes one untimed barrier first, so the timed flush
+ * sees warm buffers as every flush after a run's first does; filling
+ * the buffers and opening and closing the file are not timed.
+ */
+void
+BM_TraceFlush(benchmark::State &state)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bf_bench_flush.trace")
+            .string();
+    std::vector<Cycles> ts(kFlushCores * kFlushRecords);
+    std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+    for (unsigned c = 0; c < kFlushCores; ++c) {
+        Cycles t = 1000;
+        for (std::size_t i = 0; i < kFlushRecords; ++i) {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            t += rng % 24;
+            ts[c * kFlushRecords + i] = t;
+        }
+    }
+    const auto fill = [&ts](trace::Tracer &tracer) {
+        for (unsigned c = 0; c < kFlushCores; ++c) {
+            for (std::size_t i = 0; i < kFlushRecords; ++i)
+                tracer.record(c, trace::EventType::TlbL1Hit,
+                              ts[c * kFlushRecords + i], 3, 40 + c,
+                              kVa + (i << 12), i, trace::flagWrite);
+        }
+    };
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto tracer = std::make_unique<trace::Tracer>(path, kFlushCores);
+        fill(*tracer);
+        tracer->flushBarrier(); // the untimed warm-up flush
+        fill(*tracer);
+        state.ResumeTiming();
+        tracer->flushBarrier();
+        state.PauseTiming();
+        tracer.reset();
+        state.ResumeTiming();
+    }
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(state.iterations() * kFlushCores *
+                            kFlushRecords);
+}
+BENCHMARK(BM_TraceFlush);
 
 void
 BM_CacheHierarchyAccess(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "common/trace/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -38,43 +39,66 @@ putU64(std::vector<std::uint8_t> &buf, std::uint64_t v)
         buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/** Read a little-endian @p T at @p p (one plain load on LE hosts). */
+template <typename T>
+T
+loadLE(const std::uint8_t *p)
+{
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(T{p[i]} << (8 * i));
+    }
+    return v;
+}
+
+/** Write @p v little-endian at @p p (one plain store on LE hosts). */
+template <typename T>
+void
+storeLE(std::uint8_t *p, T v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+}
+
 std::uint16_t
 getU16(const std::uint8_t *p)
 {
-    return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
+    return loadLE<std::uint16_t>(p);
 }
 
 std::uint32_t
 getU32(const std::uint8_t *p)
 {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{p[i]} << (8 * i);
-    return v;
+    return loadLE<std::uint32_t>(p);
 }
 
 std::uint64_t
 getU64(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{p[i]} << (8 * i);
-    return v;
+    return loadLE<std::uint64_t>(p);
 }
 
+/** Encode @p rec into the recordBytes bytes at @p p (getRecord's inverse). */
 void
-putRecord(std::vector<std::uint8_t> &buf, const Record &rec)
+encodeRecord(std::uint8_t *p, const Record &rec)
 {
-    putU64(buf, rec.ts);
-    putU64(buf, rec.vpage);
-    putU64(buf, rec.arg);
-    putU32(buf, rec.pid);
-    putU32(buf, rec.seq);
-    putU16(buf, rec.core);
-    putU16(buf, rec.ccid);
-    buf.push_back(rec.type);
-    buf.push_back(rec.flags);
-    putU16(buf, rec.cslot); // v2's zero pad; 40 bytes total
+    storeLE(p, rec.ts);
+    storeLE(p + 8, rec.vpage);
+    storeLE(p + 16, rec.arg);
+    storeLE(p + 24, rec.pid);
+    storeLE(p + 28, rec.seq);
+    storeLE(p + 32, rec.core);
+    storeLE(p + 34, rec.ccid);
+    p[36] = rec.type;
+    p[37] = rec.flags;
+    storeLE(p + 38, rec.cslot); // v2's zero pad; 40 bytes total
 }
 
 Record
@@ -230,31 +254,85 @@ Tracer::flushBarrier()
 {
     if (!file_)
         return;
-    merge_buf_.clear();
+
+    // One merge head per non-empty core buffer, kept in core order.
+    struct Head
+    {
+        Cycles ts;
+        const Record *next;
+        const Record *end;
+    };
+    std::vector<Head> heads;
+    heads.reserve(bufs_.size());
+    std::size_t total = 0;
     for (auto &buf : bufs_) {
-        merge_buf_.insert(merge_buf_.end(), buf.begin(), buf.end());
-        buf.clear();
+        if (buf.empty())
+            continue;
+        // Guard for the ladder's precondition (see trace.hh): append
+        // order is seq order, so a buffer is (ts, seq)-sorted exactly
+        // when its timestamps never decrease.
+        const auto by_ts = [](const Record &a, const Record &b) {
+            return a.ts < b.ts;
+        };
+        if (!std::is_sorted(buf.begin(), buf.end(), by_ts))
+            std::sort(buf.begin(), buf.end(),
+                      [](const Record &a, const Record &b) {
+                          return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
+                      });
+        heads.push_back(
+            {buf.front().ts, buf.data(), buf.data() + buf.size()});
+        total += buf.size();
     }
-    if (merge_buf_.empty())
-        return;
-    std::sort(merge_buf_.begin(), merge_buf_.end(), recordLess);
 
     // The limit is applied here, in canonical order, so the records that
     // survive truncation are the same at every worker count.
-    std::size_t keep = merge_buf_.size();
+    std::size_t keep = total;
     if (limit_ != 0) {
         const std::uint64_t room = limit_ > written_ ? limit_ - written_ : 0;
         keep = std::min<std::uint64_t>(keep, room);
     }
-    dropped_ += merge_buf_.size() - keep;
+    dropped_ += total - keep;
+
+    if (keep != 0) {
+        io_buf_.resize(8 + keep * std::size_t{recordBytes});
+        std::uint8_t *p = io_buf_.data();
+        storeLE(p, blockMagic);
+        storeLE(p + 4, static_cast<std::uint32_t>(keep));
+        p += 8;
+
+        // k-way ladder (as mergeEpochLogs): repeatedly encode the
+        // ts-minimal head. The strict `<` scan over core-ordered heads
+        // resolves ties toward the lower core, and each head advances in
+        // seq order, so the output is the unique (ts, core, seq) order.
+        std::size_t left = keep;
+        while (left != 0 && heads.size() > 1) {
+            std::size_t min = 0;
+            for (std::size_t h = 1; h < heads.size(); ++h) {
+                if (heads[h].ts < heads[min].ts)
+                    min = h;
+            }
+            Head &head = heads[min];
+            encodeRecord(p, *head.next);
+            p += recordBytes;
+            --left;
+            if (++head.next != head.end)
+                head.ts = head.next->ts;
+            else
+                heads.erase(heads.begin() + min); // keeps core order
+        }
+        // One buffer left (or only ever one): copy it through.
+        if (left != 0) {
+            for (const Record *rec = heads[0].next; left != 0; --left) {
+                encodeRecord(p, *rec++);
+                p += recordBytes;
+            }
+        }
+    }
+    for (auto &buf : bufs_)
+        buf.clear();
     if (keep == 0)
         return;
 
-    io_buf_.clear();
-    putU32(io_buf_, blockMagic);
-    putU32(io_buf_, static_cast<std::uint32_t>(keep));
-    for (std::size_t i = 0; i < keep; ++i)
-        putRecord(io_buf_, merge_buf_[i]);
     if (std::fwrite(io_buf_.data(), 1, io_buf_.size(), file_) !=
         io_buf_.size()) {
         warn("trace: short write to ", path_, "; tracing off");
@@ -291,12 +369,24 @@ TraceReader::TraceReader(const std::string &path)
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         throw TraceError("trace: cannot open " + path);
+    // The file size bounds every block's claimed record count, so a
+    // corrupted count fails before it can size an allocation.
+    long size = -1;
+    if (std::fseek(file_, 0, SEEK_END) == 0)
+        size = std::ftell(file_);
+    if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+        std::fclose(file_);
+        file_ = nullptr;
+        throw TraceError("trace: " + path + ": cannot size file");
+    }
+    remaining_ = static_cast<std::uint64_t>(size);
     std::uint8_t raw[headerBytes];
     if (std::fread(raw, 1, sizeof(raw), file_) != sizeof(raw)) {
         std::fclose(file_);
         file_ = nullptr;
         throw TraceError("trace: " + path + ": truncated header");
     }
+    remaining_ -= sizeof(raw);
     if (std::memcmp(raw, traceMagic, sizeof(traceMagic)) != 0) {
         std::fclose(file_);
         file_ = nullptr;
@@ -342,17 +432,25 @@ TraceReader::nextBlock(std::vector<Record> &out)
         return false;
     if (got != sizeof(frame))
         throw TraceError("trace: truncated block frame");
+    remaining_ -= sizeof(frame);
     if (getU32(frame) != blockMagic)
         throw TraceError("trace: bad block magic");
     const std::uint32_t count = getU32(frame + 4);
     if (count == 0)
         throw TraceError("trace: empty block");
-    std::vector<std::uint8_t> raw(std::size_t{count} * recordBytes);
-    if (std::fread(raw.data(), 1, raw.size(), file_) != raw.size())
+    const std::uint64_t bytes = std::uint64_t{count} * recordBytes;
+    if (bytes > remaining_)
+        throw TraceError("trace: block count exceeds file");
+    raw_.resize(bytes);
+    if (std::fread(raw_.data(), 1, raw_.size(), file_) != raw_.size())
         throw TraceError("trace: truncated block body");
-    out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        out.push_back(getRecord(raw.data() + std::size_t{i} * recordBytes));
+    remaining_ -= bytes;
+    out.resize(count);
+    const std::uint8_t *p = raw_.data();
+    for (Record &rec : out) {
+        rec = getRecord(p);
+        p += recordBytes;
+    }
     // v2 wrote a zero pad where v3 keeps the attribution slot; force it
     // to "none" so slot 0 is never fabricated from old files.
     if (header_.version < 3)

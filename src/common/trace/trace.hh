@@ -22,6 +22,18 @@
  * key is unique, so the flushed byte stream — and therefore the whole
  * file — is byte-identical at every BF_WORKERS.
  *
+ * Flush invariant: the flush expects each per-core buffer to arrive
+ * (ts, seq)-sorted. A core records its events as its simulated clock
+ * advances, and kernel events carry the faulting core's fault time;
+ * seq is assigned in append order. The flush therefore merges the
+ * buffers with a linear k-way ladder (as mergeEpochLogs does) instead
+ * of sorting them. The ladder emits the same unique (ts, core, seq)
+ * order a global sort gives, so the file bytes do not depend on which
+ * of the two produced them. record() itself promises no order, so the
+ * flush checks each buffer in O(n) first and sorts a buffer that fails
+ * on its own before merging. Correctness never rests on the invariant;
+ * only the flush's speed does.
+ *
  * File layout (all integers little-endian):
  *
  *     magic[8]  "BFTRACE\0"
@@ -442,8 +454,8 @@ class Tracer
 
     /**
      * Merge the per-core buffers in (ts, core, seq) order and append
-     * them to the file as one block. Called single-threaded at every
-     * weave barrier.
+     * them to the file as one block (see the flush invariant above).
+     * Called single-threaded at every weave barrier.
      */
     void flushBarrier();
 
@@ -468,7 +480,6 @@ class Tracer
 
     std::vector<std::vector<Record>> bufs_;     //!< Per core.
     std::vector<std::uint32_t> next_seq_;       //!< Per core, monotone.
-    std::vector<Record> merge_buf_;             //!< Reused across flushes.
     std::vector<std::uint8_t> io_buf_;          //!< Reused across flushes.
 
     /** pid → attribution slot (setSlotLookup); empty = no stamping. */
@@ -523,6 +534,8 @@ class TraceReader
   private:
     std::FILE *file_ = nullptr;
     TraceHeader header_;
+    std::uint64_t remaining_ = 0;     //!< File bytes not yet read.
+    std::vector<std::uint8_t> raw_;   //!< Block body, reused per block.
 };
 
 /** What validateTrace() found in a healthy file. */

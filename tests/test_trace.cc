@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -243,9 +244,156 @@ TEST(Tracer, CorruptedFileRejected)
     spit(path, bad);
     EXPECT_THROW(trace::validateTrace(path), trace::TraceError);
 
+    // A block count larger than the file holds fails before the block
+    // body is sized: the largest u32, and one past the real count.
+    const std::size_t count_at = trace::headerBytes + 4;
+    for (const std::uint32_t count : {0xFFFFFFFFu, 6u}) {
+        bad = good;
+        for (int i = 0; i < 4; ++i)
+            bad[count_at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+        spit(path, bad);
+        EXPECT_THROW(trace::validateTrace(path), trace::TraceError)
+            << "count " << count;
+        trace::TraceReader reader(path);
+        std::vector<trace::Record> block;
+        EXPECT_THROW(reader.nextBlock(block), trace::TraceError)
+            << "count " << count;
+    }
+
     // Missing file.
     EXPECT_THROW(trace::validateTrace(tmpPath("missing.trace")),
                  trace::TraceError);
+}
+
+namespace
+{
+
+bool
+canonicalLess(const trace::Record &a, const trace::Record &b)
+{
+    if (a.ts != b.ts)
+        return a.ts < b.ts;
+    if (a.core != b.core)
+        return a.core < b.core;
+    return a.seq < b.seq;
+}
+
+} // namespace
+
+// The ladder flush is an exact replacement for the (ts, core, seq) sort
+// it retired: seeded records across 1, 2 and 8 cores — with idle cores,
+// heavy cross-core timestamp ties, one core fed out of timestamp order
+// (the guard's sort), a limit that lands mid-block, and several
+// flushes per file — read back field by field as the sort orders them.
+TEST(Tracer, FlushMatchesReferenceSort)
+{
+    struct Case
+    {
+        unsigned cores;
+        std::uint64_t limit;
+        bool shuffle; //!< Feed the last core out of timestamp order.
+    };
+    const Case cases[] = {{1, 0, false},    {2, 0, false},
+                          {2, 0, true},     {8, 0, false},
+                          {8, 0, true},     {8, 1700, false},
+                          {8, 1700, true},  {2, 333, false}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE("cores " + std::to_string(c.cores) + " limit " +
+                     std::to_string(c.limit) + " shuffle " +
+                     std::to_string(c.shuffle));
+        const std::string path = tmpPath("flush_ref.trace");
+        std::uint64_t rng = 0x9E3779B97F4A7C15ull + c.cores;
+        const auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            return rng;
+        };
+        // Reference: per flush, the fed records with the seq the tracer
+        // assigns (per core, in call order, never reset), sorted.
+        std::vector<trace::Record> expected;
+        std::vector<std::uint32_t> seq(c.cores, 0);
+        std::uint64_t fed_total = 0;
+        std::vector<std::uint64_t> block_ends;
+        {
+            trace::Tracer tracer(path, c.cores, trace::allEvents, c.limit);
+            ASSERT_TRUE(tracer.ok());
+            for (unsigned flush = 0; flush < 4; ++flush) {
+                std::vector<trace::Record> block;
+                for (unsigned core = 0; core < c.cores; ++core) {
+                    // Core 1 stays idle on every other flush (and core 3
+                    // always): empty buffers take no head.
+                    if ((core == 1 && flush % 2 == 1) || core == 3)
+                        continue;
+                    // Cores advance in strides from a small range, so
+                    // timestamps tie across cores; a shuffled core's
+                    // timestamps jump back and forth instead.
+                    const bool shuffled = c.shuffle && core == c.cores - 1;
+                    Cycles ts = 1000 * flush;
+                    const unsigned n = 50 + next() % 400;
+                    for (unsigned i = 0; i < n; ++i) {
+                        ts = shuffled ? 1000 * flush + next() % 64
+                                      : ts + next() % 3;
+                        trace::Record rec;
+                        rec.ts = ts;
+                        rec.vpage = next() >> 20;
+                        rec.arg = next();
+                        rec.pid = static_cast<std::uint32_t>(next());
+                        rec.seq = seq[core]++;
+                        rec.core = static_cast<std::uint16_t>(core);
+                        rec.ccid = static_cast<std::uint16_t>(next());
+                        rec.type = static_cast<std::uint8_t>(
+                            next() % trace::numEventTypes);
+                        rec.flags = static_cast<std::uint8_t>(next());
+                        tracer.record(core, trace::EventType{rec.type},
+                                      rec.ts, rec.ccid, rec.pid,
+                                      rec.vpage << basePageShift, rec.arg,
+                                      rec.flags);
+                        block.push_back(rec);
+                    }
+                }
+                fed_total += block.size();
+                block_ends.push_back(fed_total);
+                std::sort(block.begin(), block.end(), canonicalLess);
+                expected.insert(expected.end(), block.begin(), block.end());
+                tracer.flushBarrier();
+            }
+            tracer.finish();
+            if (c.limit != 0) {
+                ASSERT_LT(c.limit, fed_total);
+                ASSERT_EQ(std::count(block_ends.begin(), block_ends.end(),
+                                     c.limit), 0)
+                    << "the limit must land inside a block";
+                expected.resize(c.limit);
+            }
+            EXPECT_EQ(tracer.written(), expected.size());
+            EXPECT_EQ(tracer.dropped(), fed_total - expected.size());
+        }
+
+        // The validator demands strictly increasing per-core seq in file
+        // order, which holds exactly when no buffer needed the guard's
+        // sort — so a validated simulator trace shows the guard idle.
+        if (c.shuffle)
+            EXPECT_THROW(trace::validateTrace(path), trace::TraceError);
+        else
+            EXPECT_NO_THROW(trace::validateTrace(path));
+        const auto got = readAll(path);
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            SCOPED_TRACE("record " + std::to_string(i));
+            const trace::Record &g = got[i], &e = expected[i];
+            ASSERT_EQ(g.ts, e.ts);
+            ASSERT_EQ(g.core, e.core);
+            ASSERT_EQ(g.seq, e.seq);
+            ASSERT_EQ(g.vpage, e.vpage);
+            ASSERT_EQ(g.arg, e.arg);
+            ASSERT_EQ(g.pid, e.pid);
+            ASSERT_EQ(g.ccid, e.ccid);
+            ASSERT_EQ(g.type, e.type);
+            ASSERT_EQ(g.flags, e.flags);
+            ASSERT_EQ(g.cslot, e.cslot);
+        }
+    }
 }
 
 // v3 stamps the container-attribution slot into the record's final u16
