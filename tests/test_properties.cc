@@ -137,12 +137,18 @@ TEST_P(FaultSweep, TranslationsAlwaysCorrect)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FaultSweep,
-    ::testing::Values(SweepConfig{false, 2, 1}, SweepConfig{false, 4, 2},
-                      SweepConfig{true, 2, 3}, SweepConfig{true, 4, 4},
-                      SweepConfig{true, 8, 5}, SweepConfig{true, 33, 6},
-                      SweepConfig{true, 40, 7}));
+// gtest names each case by the raw bytes of its SweepConfig, padding
+// included. A static table is zero-initialised, padding too, and the
+// trivial copies gtest makes keep those bytes, so the test names are
+// the same on every build and run (stack temporaries left stack garbage
+// in the padding).
+static const SweepConfig kSweepConfigs[] = {
+    {false, 2, 1}, {false, 4, 2}, {true, 2, 3},  {true, 4, 4},
+    {true, 8, 5},  {true, 33, 6}, {true, 40, 7},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, FaultSweep,
+                         ::testing::ValuesIn(kSweepConfigs));
 
 // ---------------------------------------------------------------------
 // Sharer-counter invariant: the recorded sharer count of every shared
