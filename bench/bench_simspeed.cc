@@ -15,8 +15,8 @@
  * Each row also reports the per-phase host-time breakdown of the chunk
  * loop (System::phaseTimes): bound dispatch, fault service, canonical
  * merge, weave replay. That is the Amdahl decomposition for the
- * parallel knobs — BF_WORKERS scales only the bound share and
- * BF_WEAVE_WORKERS only the weave share — and lands in the JSON host
+ * parallel knob — BF_WORKERS scales only the bound share; fault
+ * service, merge and weave stay serial — and lands in the JSON host
  * rows as the additive "phases" object (schema v3).
  *
  * Environment knobs (on top of bench/common.hh's):

@@ -149,9 +149,14 @@ ArchiveWriter::writeFile(const std::string &path) const
 ArchiveReader
 ArchiveReader::fromFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         throw SnapshotError("cannot open checkpoint: " + path);
+    // The file size bounds the header's claimed payload length, so a
+    // corrupted length fails before it can size an allocation.
+    const std::streamoff file_size = in.tellg();
+    if (file_size < 0 || !in.seekg(0))
+        throw SnapshotError("cannot size checkpoint: " + path);
 
     std::array<std::uint8_t, headerBytes> header;
     in.read(reinterpret_cast<char *>(header.data()), headerBytes);
@@ -177,6 +182,9 @@ ArchiveReader::fromFile(const std::string &path)
             " != supported " + std::to_string(formatVersion) + ": " + path);
     }
 
+    if (payload_len > static_cast<std::uint64_t>(file_size) - headerBytes)
+        throw SnapshotError("checkpoint payload length exceeds file: " +
+                            path);
     std::vector<std::uint8_t> payload(payload_len);
     in.read(reinterpret_cast<char *>(payload.data()),
             static_cast<std::streamsize>(payload_len));

@@ -142,7 +142,7 @@ void
 BoundPool::drainBlock(unsigned block, const std::function<void(unsigned)> &fn)
 {
     const unsigned end =
-        block + 1 == active_stripes_ ? n_ : blockBegin(block + 1);
+        block + 1 == stripe_count_ ? n_ : blockBegin(block + 1);
     std::atomic<unsigned> &cursor = cursors_[block].next;
     // Cheap pre-check keeps steal sweeps from bumping exhausted
     // cursors; the fetch_add below is the authoritative unique claim.
@@ -165,15 +165,10 @@ BoundPool::workerLoop(unsigned stripe)
         if (stop_.load(std::memory_order_acquire))
             return;
         seen = generation_.load(std::memory_order_acquire);
-        // Stripes above the round's cap have no block; they only
-        // acknowledge the round so run() can retire it.
-        const unsigned active = active_stripes_;
-        if (stripe < active) {
-            const auto &fn = *job_;
-            // Own block first, then steal from the others round-robin.
-            for (unsigned b = 0; b < active; ++b)
-                drainBlock((stripe + b) % active, fn);
-        }
+        const auto &fn = *job_;
+        // Own block first, then steal from the others round-robin.
+        for (unsigned b = 0; b < stripe_count_; ++b)
+            drainBlock((stripe + b) % stripe_count_, fn);
         // Last touch of round state: after this the worker only reads
         // generation_, so the caller may safely set up the next round.
         done_.fetch_add(1, std::memory_order_release);
@@ -181,25 +176,21 @@ BoundPool::workerLoop(unsigned stripe)
 }
 
 void
-BoundPool::run(unsigned n, const std::function<void(unsigned)> &fn,
-               unsigned stripes)
+BoundPool::run(unsigned n, const std::function<void(unsigned)> &fn)
 {
-    if (stripes == 0 || stripes > stripe_count_)
-        stripes = stripe_count_;
-    if (threads_.empty() || n <= 1 || stripes <= 1) {
+    if (threads_.empty() || n <= 1) {
         for (unsigned i = 0; i < n; ++i)
             fn(i);
         return;
     }
     job_ = &fn;
     n_ = n;
-    active_stripes_ = stripes;
-    for (unsigned s = 0; s < stripes; ++s)
+    for (unsigned s = 0; s < stripe_count_; ++s)
         cursors_[s].next.store(blockBegin(s), std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
     // The caller is stripe 0: drain its block, then steal.
-    for (unsigned b = 0; b < stripes; ++b)
+    for (unsigned b = 0; b < stripe_count_; ++b)
         drainBlock(b, fn);
     const unsigned workers = static_cast<unsigned>(threads_.size());
     spinUntil([&] {

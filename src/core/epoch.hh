@@ -11,9 +11,8 @@
  * performed. A *weave* phase then drains the merged logs in canonical
  * (timestamp, core, seq) order against the shared L3, DRAM and kernel,
  * producing the authoritative latencies, fills, LRU updates and
- * statistics. The weave itself replays either fused on the calling
- * thread or sharded across workers (DESIGN.md §15); both orders are
- * byte-identical.
+ * statistics. The weave runs on the calling thread through the same
+ * L3/DRAM/probe code as the direct path (DESIGN.md §15).
  *
  * Because the per-core bound execution is independent of how cores are
  * scheduled onto host threads, and both the fault-service and weave
@@ -177,15 +176,7 @@ class EpochLog
  * write access appears in both — the L3/DRAM service and the peer
  * invalidation the historical replay fused. The two sub-streams touch
  * disjoint simulated state, so replaying them separately is
- * state-identical to the historical interleaved drain; within one
- * chunk's probe stream, per-peer outcomes are even order-independent
- * (invalidation only moves a line present → absent, and no weave path
- * refills private levels), which is what lets the probe pass shard by
- * line rather than replay position.
- *
- * `hit` is the weave's L3-outcome scratch lane (1 = L3 hit): written by
- * the L3 pass, read by the DRAM pass. One byte per access so concurrent
- * shards write distinct memory locations.
+ * state-identical to the historical interleaved drain.
  */
 struct WeaveStream
 {
@@ -194,7 +185,6 @@ struct WeaveStream
     std::vector<Addr> paddr;
     std::vector<std::uint8_t> core;
     std::vector<std::uint8_t> flags; //!< EpochLog::flagWrite/flagWalker.
-    std::vector<std::uint8_t> hit;   //!< L3 pass outcome, per access.
     std::vector<std::uint16_t> slot; //!< Issuing tenant (EpochLog::noSlot
                                      //!< = unattributed).
     /** @} */
@@ -215,7 +205,6 @@ struct WeaveStream
         paddr.clear();
         core.clear();
         flags.clear();
-        hit.clear();
         slot.clear();
         probe_paddr.clear();
         probe_core.clear();
@@ -244,8 +233,7 @@ void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
                     WeaveStream &out, bool write_probes);
 
 /**
- * Persistent worker pool for bound and weave phases, with work
- * stealing.
+ * Persistent worker pool for the bound phase, with work stealing.
  *
  * A chunked simulation crosses the fork/join point tens of thousands of
  * times per second, so the pool keeps its threads alive and uses
@@ -263,12 +251,6 @@ void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
  * host thread runs an item cannot affect simulated state — the
  * determinism argument is unchanged from static striping.
  *
- * Rounds may cap their parallelism below the pool size (the `stripes`
- * argument): the bound phase runs on BF_WORKERS stripes and the weave
- * passes on BF_WEAVE_WORKERS stripes off one shared pool sized for the
- * larger of the two. Workers above the cap wake, find no block
- * assigned, and immediately signal done.
- *
  * Round isolation: workers signal done_ only after their final claim,
  * and run() returns only once every worker has signaled, so no claim
  * can leak into the next round's cursor reset.
@@ -285,13 +267,10 @@ class BoundPool
 
     /**
      * Run fn(0) ... fn(n-1) across the pool plus the calling thread;
-     * returns once all have completed.
-     *
-     * @param stripes cap on participating stripes (0 = the whole pool);
-     *        1 runs inline on the caller.
+     * returns once all have completed. A pool without workers runs
+     * every item inline on the caller.
      */
-    void run(unsigned n, const std::function<void(unsigned)> &fn,
-             unsigned stripes = 0);
+    void run(unsigned n, const std::function<void(unsigned)> &fn);
 
   private:
     /** One claim cursor per stripe block, padded against false sharing. */
@@ -311,7 +290,7 @@ class BoundPool
     blockBegin(unsigned stripe) const
     {
         return static_cast<unsigned>(
-            (static_cast<std::uint64_t>(n_) * stripe) / active_stripes_);
+            (static_cast<std::uint64_t>(n_) * stripe) / stripe_count_);
     }
 
     std::vector<std::thread> threads_;
@@ -322,7 +301,6 @@ class BoundPool
     std::atomic<bool> stop_{false};
     const std::function<void(unsigned)> *job_ = nullptr;
     unsigned n_ = 0;
-    unsigned active_stripes_ = 1; //!< Stripes sharing the current round.
 };
 
 } // namespace bf::core

@@ -110,18 +110,6 @@ struct SystemParams
     unsigned workers = 1;
 
     /**
-     * Host worker threads for the weave phase (DESIGN.md §15), rounded
-     * down to a power of two and clamped to the shard limit the cache
-     * geometries support (64 with Table I). 1 keeps the fused serial
-     * replay on the calling thread; higher values replay address
-     * shards of the canonical stream concurrently. Stats, LRU bytes
-     * and checkpoints are byte-identical at every value. Benches
-     * override via BF_WEAVE_WORKERS. Like workers, excluded from
-     * config hashes and checkpoint manifests.
-     */
-    unsigned weave_workers = 1;
-
-    /**
      * @{
      * @name Event tracing (DESIGN.md §12)
      * When trace_path is non-empty the System records translation-

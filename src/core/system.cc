@@ -86,21 +86,11 @@ System::System(const SystemParams &params)
             cores_[i]->setAttrib(attrib_.get(), attrib_->sink(i));
     }
 
-    // More bound workers than cores cannot help; more weave workers
-    // than address shards the cache geometries support cannot either
-    // (and the shard mask needs a power of two). One pool sized for the
-    // larger phase serves both: each run() round caps its stripes to
-    // the requesting phase's worker count, so BF_WORKERS=1 still runs
-    // the bound phase inline even when the weave is parallel.
-    bound_workers_ = std::min<unsigned>(std::max(1u, params_.workers),
-                                        params_.num_cores);
-    weave_workers_ = std::min<unsigned>(
-        std::max(1u, params_.weave_workers), hierarchy_->maxWeaveShards());
-    while (weave_workers_ & (weave_workers_ - 1))
-        --weave_workers_;
-    pool_ = std::make_unique<BoundPool>(
-        std::max(bound_workers_, weave_workers_) - 1);
-    weave_scratch_.resize(weave_workers_);
+    // More bound workers than cores cannot help. The pool serves only
+    // the bound phase, so every round uses all of it.
+    const unsigned bound_workers = std::min<unsigned>(
+        std::max(1u, params_.workers), params_.num_cores);
+    pool_ = std::make_unique<BoundPool>(bound_workers - 1);
 
     kernel_->setTlbInvalidateHook([this](const vm::TlbInvalidate &inv) {
         for (auto &core : cores_)
@@ -143,9 +133,8 @@ System::runChunk(Cycles barrier)
     // touching only per-core-private state. Cores that hit a page fault
     // suspend early with the fault parked in their log.
     const auto t_bound = hostclock::now();
-    pool_->run(
-        numCores(), [&](unsigned i) { cores_[i]->runUntil(barrier); },
-        bound_workers_);
+    pool_->run(numCores(),
+               [&](unsigned i) { cores_[i]->runUntil(barrier); });
     const auto t_fault = hostclock::now();
     phase_times_.bound_seconds += elapsed(t_bound, t_fault);
 
@@ -269,69 +258,26 @@ System::weave()
     if (weave_stream_.empty())
         return;
 
-    const std::uint64_t num_accesses = weave_stream_.accesses();
-    const std::uint64_t lru_base = hierarchy_->l3().lruClock();
-    // Per-tenant DRAM-excess lanes: sized at weave time, after every
+    // Per-tenant DRAM-excess bills: sized at weave time, after every
     // fault window of the chunk, so any slot a logged event can carry
     // already exists.
-    const unsigned nslots =
-        attrib_ ? static_cast<unsigned>(attrib_->numTenants()) : 0;
-    if (weave_workers_ <= 1) {
-        weave_scratch_[0].reset(numCores(), nslots);
-        hierarchy_->weaveSerial(weave_stream_, lru_base,
-                                weave_scratch_[0]);
-    } else {
-        // Sharded replay (DESIGN.md §15): first the L3 pass and the
-        // probe pass (disjoint state, so one round covers both), then
-        // the DRAM pass, which consumes the L3 pass's hit lane — the
-        // pool round boundary is the required barrier.
-        weave_stream_.hit.assign(num_accesses, 0);
-        const unsigned w = weave_workers_;
-        pool_->run(
-            w,
-            [&](unsigned s) {
-                auto &sc = weave_scratch_[s];
-                sc.reset(numCores(), nslots);
-                hierarchy_->weaveSharedPass(weave_stream_, s, w,
-                                            lru_base, sc);
-                hierarchy_->weaveProbePass(weave_stream_, s, w, sc);
-            },
-            w);
-        pool_->run(
-            w,
-            [&](unsigned s) {
-                hierarchy_->weaveDramPass(weave_stream_, s, w,
-                                          weave_scratch_[s]);
-            },
-            w);
-    }
-    const unsigned shards = weave_workers_ <= 1 ? 1 : weave_workers_;
-    hierarchy_->weaveCommit(weave_scratch_.data(), shards, num_accesses);
+    core_excess_.assign(numCores(), {});
+    slot_excess_.assign(attrib_ ? attrib_->numTenants() : 0, {});
+    hierarchy_->weave(weave_stream_, core_excess_, slot_excess_);
 
-    // Bill the DRAM excess per core in fixed core order (sums over
-    // shards, so the totals are shard-count-independent).
+    // Bill the DRAM excess per core, then per issuing tenant, in fixed
+    // index order.
     for (unsigned c = 0; c < numCores(); ++c) {
-        Cycles data_extra = 0, walk_extra = 0;
-        for (unsigned s = 0; s < shards; ++s) {
-            data_extra += weave_scratch_[s].data_extra[c];
-            walk_extra += weave_scratch_[s].walk_extra[c];
-        }
-        if (data_extra || walk_extra)
-            cores_[c]->applyWeaveAdjustment(data_extra, walk_extra);
+        const mem::DramExcess &e = core_excess_[c];
+        if (e.data || e.walk)
+            cores_[c]->applyWeaveAdjustment(e.data, e.walk);
     }
-
-    // And per issuing tenant, likewise in fixed slot order (the same
-    // sums over shards, so totals are shard-count-independent).
-    for (unsigned t = 0; t < nslots; ++t) {
-        Cycles data_extra = 0, walk_extra = 0;
-        for (unsigned s = 0; s < shards; ++s) {
-            data_extra += weave_scratch_[s].slot_data_extra[t];
-            walk_extra += weave_scratch_[s].slot_walk_extra[t];
-        }
-        if (data_extra)
-            attrib_->addDramExtra(static_cast<int>(t), false, data_extra);
-        if (walk_extra)
-            attrib_->addDramExtra(static_cast<int>(t), true, walk_extra);
+    for (std::size_t t = 0; t < slot_excess_.size(); ++t) {
+        const mem::DramExcess &e = slot_excess_[t];
+        if (e.data)
+            attrib_->addDramExtra(static_cast<int>(t), false, e.data);
+        if (e.walk)
+            attrib_->addDramExtra(static_cast<int>(t), true, e.walk);
     }
     phase_times_.weave_seconds +=
         std::chrono::duration<double>(hostclock::now() - t_weave)

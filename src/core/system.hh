@@ -176,9 +176,6 @@ class System
     };
     const PhaseTimes &phaseTimes() const { return phase_times_; }
 
-    /** Effective (clamped) weave worker count. */
-    unsigned weaveWorkers() const { return weave_workers_; }
-
     /** Root of the statistics tree ("system."). */
     stats::StatGroup &stats() { return stat_group_; }
     const stats::StatGroup &stats() const { return stat_group_; }
@@ -209,13 +206,11 @@ class System
 
     /** @{ @name Two-phase chunk execution (see core/epoch.hh) */
     std::vector<std::unique_ptr<EpochLog>> epoch_logs_; //!< Per core.
-    std::unique_ptr<BoundPool> pool_;
-    unsigned bound_workers_ = 1; //!< Clamped params.workers.
-    unsigned weave_workers_ = 1; //!< Clamped params.weave_workers.
+    std::unique_ptr<BoundPool> pool_; //!< Bound-phase workers.
 
     WeaveStream weave_stream_; //!< Merged canonical stream, pooled.
-    std::vector<mem::CacheHierarchy::WeaveScratch>
-        weave_scratch_; //!< One per weave worker, pooled.
+    std::vector<mem::DramExcess> core_excess_; //!< Weave bills, pooled.
+    std::vector<mem::DramExcess> slot_excess_; //!< Per tenant, pooled.
 
     /** A core suspended on a deferred fault, keyed for service order. */
     struct PendingFault
@@ -245,9 +240,9 @@ class System
      */
     void drainAttrib() const;
     /**
-     * Replay the merged logs in canonical order: fused on this thread
-     * at weave_workers_ == 1, sharded across the pool otherwise
-     * (byte-identical either way — DESIGN.md §15).
+     * Merge the logs and replay them in canonical order on this
+     * thread, then bill each core and tenant its DRAM excess
+     * (DESIGN.md §15).
      */
     void weave();
     /** @} */

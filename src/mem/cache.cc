@@ -147,64 +147,7 @@ Cache::accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty)
 }
 
 bool
-Cache::weaveAccessFill(Addr line_addr, bool is_write,
-                       std::uint64_t lru_stamp, CacheTally &tally)
-{
-    const Addr line_num = lineOf(line_addr);
-    const std::size_t base = setIndex(line_num) * params_.assoc;
-    const std::uint64_t want = packKey(line_num);
-    const unsigned assoc = params_.assoc;
-
-    for (unsigned way = 0; way < assoc; ++way) {
-        if (key_[base + way] != want)
-            continue;
-        Line &match = lines_[base + way];
-        match.lru = lru_stamp;
-        match.dirty |= is_write;
-        ++tally.hits;
-        return true;
-    }
-    ++tally.misses;
-
-    Line *set_base = &lines_[base];
-    Line *victim = nullptr;
-    Line *lru = &set_base[0];
-    for (unsigned way = 0; way < assoc; ++way) {
-        Line &line = set_base[way];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < lru->lru)
-            lru = &line;
-    }
-    if (!victim)
-        victim = lru;
-
-    if (victim->valid) {
-        ++tally.evictions;
-        if (victim->dirty)
-            ++tally.writebacks;
-    }
-    victim->tag = line_num;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lru = lru_stamp;
-    syncKey(base + static_cast<std::size_t>(victim - set_base));
-    return false;
-}
-
-bool
 Cache::invalidate(Addr line_addr)
-{
-    if (!invalidateQuiet(line_addr))
-        return false;
-    ++invalidations;
-    return true;
-}
-
-bool
-Cache::invalidateQuiet(Addr line_addr)
 {
     Line *line = find(lineOf(line_addr));
     if (!line)
@@ -212,6 +155,7 @@ Cache::invalidateQuiet(Addr line_addr)
     line->valid = false;
     line->dirty = false;
     key_[static_cast<std::size_t>(line - lines_.data())] = 0;
+    ++invalidations;
     return true;
 }
 

@@ -38,22 +38,6 @@ struct CacheParams
     }
 };
 
-/**
- * Externally accumulated cache statistics for weave shards: a shard
- * replays its slice of the canonical stream against the shared cache
- * tallying here, and the single-threaded commit folds the tallies into
- * the stats::Scalar counters in fixed shard order — sums of sums, so
- * the totals are independent of the shard count.
- */
-struct CacheTally
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t writebacks = 0;
-    std::uint64_t invalidations = 0;
-};
-
 /** Tag-only set-associative cache with LRU replacement. */
 class Cache
 {
@@ -99,49 +83,8 @@ class Cache
      */
     bool accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty);
 
-    /**
-     * Weave-phase accessAndFill: identical lookup/victim/dirty
-     * semantics, but the touched line's LRU stamp is supplied by the
-     * caller and the counters land in @p tally instead of the stats.
-     *
-     * The weave pre-computes each access's stamp as
-     * lruClock() + 1 + its canonical index (every access bumps the
-     * clock exactly once, hit or fill), replays shards concurrently —
-     * sound because accesses to the same set always share a shard —
-     * and then commitTally()s and advanceLruClock()s once. The
-     * resulting tag/LRU/dirty bytes and stat totals are exactly those
-     * of a serial accessAndFill drain; checkpoints cannot tell the
-     * difference.
-     *
-     * @return true on hit.
-     */
-    bool weaveAccessFill(Addr line_addr, bool is_write,
-                         std::uint64_t lru_stamp, CacheTally &tally);
-
     /** Invalidate a line if present (coherence or TLB-shootdown path). */
     bool invalidate(Addr line_addr);
-
-    /**
-     * invalidate() without the stat bump (weave probe shards count
-     * successes in per-shard scratch and commit them in fixed order).
-     */
-    bool invalidateQuiet(Addr line_addr);
-
-    /** Fold a shard tally into the stats (single-threaded commit). */
-    void
-    commitTally(const CacheTally &tally)
-    {
-        hits += tally.hits;
-        misses += tally.misses;
-        evictions += tally.evictions;
-        writebacks += tally.writebacks;
-        invalidations += tally.invalidations;
-    }
-
-    /** @{ @name LRU clock (weave pre-stamping; see weaveAccessFill) */
-    std::uint64_t lruClock() const { return lru_clock_; }
-    void advanceLruClock(std::uint64_t n) { lru_clock_ += n; }
-    /** @} */
 
     /** Whether a line is present, with no LRU side effects. */
     bool contains(Addr line_addr) const;

@@ -38,19 +38,6 @@ struct DramParams
     Cycles channel_latency = 20; //!< Controller + bus overhead per access.
 };
 
-/**
- * Externally accumulated DRAM statistics for weave shards (merged into
- * the stats::Scalar counters by commitTally in fixed shard order).
- */
-struct DramTally
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t row_hits = 0;
-    std::uint64_t row_misses = 0;
-    std::uint64_t row_conflicts = 0;
-};
-
 /** Multi-bank main-memory timing model with open-page policy. */
 class Dram
 {
@@ -71,30 +58,6 @@ class Dram
      * @return total latency in cycles including queueing.
      */
     Cycles access(Addr paddr, Cycles now, bool is_write);
-
-    /**
-     * access() with the counters in @p tally instead of the stats.
-     * A bank's row-buffer and ready_at evolution depends only on the
-     * sequence of requests to that bank, so weave shards that partition
-     * the canonical stream by bank index replay concurrently and
-     * land the exact state a serial drain would — see DESIGN.md §15.
-     */
-    Cycles weaveAccess(Addr paddr, Cycles now, bool is_write,
-                       DramTally &tally);
-
-    /** Fold a shard tally into the stats (single-threaded commit). */
-    void
-    commitTally(const DramTally &tally)
-    {
-        reads += tally.reads;
-        writes += tally.writes;
-        row_hits += tally.row_hits;
-        row_misses += tally.row_misses;
-        row_conflicts += tally.row_conflicts;
-    }
-
-    /** Flat bank index of an address (weave shard selection). */
-    unsigned bankIndexOf(Addr paddr) const;
 
     /** Total banks across channels and ranks. */
     unsigned numBanks() const;

@@ -43,6 +43,16 @@ struct MemAccessResult
     MemLevel served_by = MemLevel::Memory;
 };
 
+/**
+ * DRAM latency beyond the L3 access time that a weave owes one core or
+ * tenant, split by whether a data access or a page-walk step paid it.
+ */
+struct DramExcess
+{
+    Cycles data = 0;
+    Cycles walk = 0;
+};
+
 /** Parameters of the whole hierarchy (defaults follow Table I). */
 struct HierarchyParams
 {
@@ -94,86 +104,20 @@ class CacheHierarchy
     }
 
     /**
-     * Per-shard scratch state for the weave replay (DESIGN.md §15):
-     * stat tallies for the shared levels plus the per-core latency
-     * bills the System applies after the commit. Pooled by the System
-     * and reset() per chunk.
-     */
-    struct WeaveScratch
-    {
-        CacheTally l3;
-        DramTally dram;
-        std::vector<Cycles> data_extra;          //!< Per core.
-        std::vector<Cycles> walk_extra;          //!< Per core.
-        std::vector<std::uint64_t> probe_inval;  //!< Per core × 3 (I/D/2).
-        /**
-         * Per-tenant DRAM-excess bills, parallel to data_extra /
-         * walk_extra but keyed by the attribution slot the event
-         * carries (core/epoch.hh). Sized by reset()'s num_slots (0
-         * when attribution is off — the replay loops skip the lanes).
-         */
-        std::vector<Cycles> slot_data_extra;
-        std::vector<Cycles> slot_walk_extra;
-
-        void
-        reset(unsigned num_cores, unsigned num_slots = 0)
-        {
-            l3 = CacheTally{};
-            dram = DramTally{};
-            data_extra.assign(num_cores, 0);
-            walk_extra.assign(num_cores, 0);
-            probe_inval.assign(num_cores * 3u, 0);
-            slot_data_extra.assign(num_slots, 0);
-            slot_walk_extra.assign(num_slots, 0);
-        }
-    };
-
-    /**
-     * @{
-     * @name Weave replay (DESIGN.md §15)
+     * Drain one chunk's canonical stream (DESIGN.md §15) through the
+     * same shared-level code as the direct path: accessAndFill on the
+     * L3, Dram::access on an L3 miss, then probeInvalidate for every
+     * probe. Each L3 miss's DRAM latency is added to its issuing
+     * core's bill and, when the event carries a slot below
+     * @p slot_excess's size, to that tenant's bill; the caller applies
+     * both after the drain.
      *
-     * The weave drains the canonical stream the merge produced. All
-     * entry points share one pre-stamping contract: @p lru_base is the
-     * L3's lruClock() at weave start, access i's LRU stamp is
-     * lru_base + 1 + i, and after the passes the System calls
-     * weaveCommit() which advances the clock by the access count and
-     * folds the shard tallies into the stats in fixed shard order —
-     * so tags, LRU bytes and stat totals are identical at every shard
-     * count, including 1.
-     *
-     * weaveSerial() is the fused single-thread path (L3 probe+fill and
-     * the DRAM billing of a miss in one scan, then the probe drain).
-     * The sharded passes split the same work: weaveSharedPass()
-     * replays accesses whose L3 set belongs to the shard (filling
-     * ws.hit), weaveDramPass() replays misses whose DRAM bank belongs
-     * to the shard (reading ws.hit — callers must order it after every
-     * shared pass), and weaveProbePass() invalidates peer L1/L2 lines
-     * whose sets belong to the shard. Soundness: the three passes touch
-     * disjoint simulated state, shards of one pass touch disjoint sets
-     * or banks, and per-set/per-bank request order is canonical in
-     * every split — DESIGN.md §15 gives the full argument.
+     * @param core_excess per-core bills, sized numCores().
+     * @param slot_excess per-tenant bills (empty = no attribution).
      */
-    void weaveSerial(const core::WeaveStream &ws, std::uint64_t lru_base,
-                     WeaveScratch &sc);
-    void weaveSharedPass(core::WeaveStream &ws, unsigned shard,
-                         unsigned nshards, std::uint64_t lru_base,
-                         WeaveScratch &sc);
-    void weaveDramPass(const core::WeaveStream &ws, unsigned shard,
-                       unsigned nshards, WeaveScratch &sc);
-    void weaveProbePass(const core::WeaveStream &ws, unsigned shard,
-                        unsigned nshards, WeaveScratch &sc);
-
-    /** Fold shard scratches into the stats and advance the L3 clock. */
-    void weaveCommit(const WeaveScratch *scratch, unsigned nshards,
-                     std::uint64_t num_accesses);
-
-    /**
-     * Largest power-of-two shard count the geometries support: shards
-     * select lines by low line bits, so the count must divide every
-     * probed cache's set count (and the L3's). 64 with Table I caches.
-     */
-    unsigned maxWeaveShards() const;
-    /** @} */
+    void weave(const core::WeaveStream &ws,
+               std::vector<DramExcess> &core_excess,
+               std::vector<DramExcess> &slot_excess);
 
     /** Drop every line in every cache. */
     void flushAll();
@@ -218,8 +162,6 @@ class CacheHierarchy
     std::vector<core::EpochLog *> epoch_logs_; //!< Per core; may be null.
 
     void probeInvalidate(unsigned writer_core, Addr paddr);
-    /** One probe against all peers, counting into shard scratch. */
-    void probeShard(Addr paddr, unsigned writer, WeaveScratch &sc);
 };
 
 } // namespace bf::mem

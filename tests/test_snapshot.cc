@@ -174,6 +174,19 @@ TEST(Archive, RejectsCorruptFiles)
     spit(path, {good.begin(), good.end() - 16});
     EXPECT_THROW(snap::ArchiveReader::fromFile(path), snap::SnapshotError);
 
+    // A header claiming more payload than the file holds fails before
+    // the payload is allocated: 2^63 bytes, and the real length + 1.
+    const auto withPayloadLen = [&](std::uint64_t len) {
+        auto lying = good;
+        for (unsigned i = 0; i < 8; ++i)
+            lying[12 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+        return lying;
+    };
+    spit(path, withPayloadLen(1ull << 63));
+    EXPECT_THROW(snap::ArchiveReader::fromFile(path), snap::SnapshotError);
+    spit(path, withPayloadLen(good.size() - 24 + 1)); // 24-byte header
+    EXPECT_THROW(snap::ArchiveReader::fromFile(path), snap::SnapshotError);
+
     // A single flipped payload bit fails the CRC.
     bad = good;
     bad[good.size() / 2] ^= 0x01;
