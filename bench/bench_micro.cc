@@ -2,9 +2,9 @@
  * @file
  * Microbenchmarks (google-benchmark) of the simulator's hot components:
  * TLB lookups (conventional vs BabelFish), cache and DRAM accesses,
- * page walks, fault handling, fork, the weave machinery (ladder
- * merge vs the sort it replaced, pooled vs fresh epoch-log buffers) and
- * the trace flush at a weave barrier.
+ * page walks, fault handling, fork, the shootdown fan-out, the weave
+ * machinery (ladder merge vs the sort it replaced, pooled vs fresh
+ * epoch-log buffers) and the trace flush at a weave barrier.
  * These quantify the cost of the BabelFish lookup logic in the model
  * and keep the simulator's own performance in check.
  */
@@ -20,6 +20,7 @@
 #include "common/trace/trace.hh"
 #include "core/epoch.hh"
 #include "core/mmu.hh"
+#include "core/system.hh"
 #include "mem/hierarchy.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
@@ -312,6 +313,52 @@ BM_MmuApplyInvalidatePage(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MmuApplyInvalidatePage);
+
+/**
+ * Kernel shootdown fan-out on an 8-core System: ns per
+ * Kernel::invalidateTlbs of a one-page SharedRange for group A (8
+ * members, billed per receiver) through System's invalidate hook.
+ * Arg 0: every TLB empty, as during container start-up. Arg 1: every
+ * core warm with shared entries of another group B, as on a loaded
+ * machine where the shootdown's group is cold on most cores.
+ */
+void
+BM_ShootdownFanout(benchmark::State &state)
+{
+    auto params = core::SystemParams::babelfish();
+    params.num_cores = 8;
+    params.kernel.mem_frames = 1 << 22;
+    core::System sys(params);
+    vm::Kernel &kernel = sys.kernel();
+    const Ccid a = kernel.createGroup("a", 1);
+    vm::Process *a_rt = kernel.createProcess(a, "a:rt");
+    for (unsigned i = 0; i < 7; ++i)
+        kernel.fork(*a_rt, "a:c" + std::to_string(i));
+    if (state.range(0) == 1) {
+        const Ccid b = kernel.createGroup("b", 2);
+        vm::Process *b_rt = kernel.createProcess(b, "b:rt");
+        auto *file = kernel.createFile("f", 4 << 20);
+        file->preload(kernel.frames());
+        kernel.mmapObject(*b_rt, file, kVa, 4 << 20, 0, false, false,
+                          false);
+        workloads::prefault(kernel, *b_rt, kVa, 4 << 20,
+                            AccessType::Read);
+        vm::Process *b_child = kernel.fork(*b_rt, "b:c");
+        for (unsigned c = 0; c < sys.numCores(); ++c) {
+            for (Addr va = kVa; va < kVa + (4ull << 20); va += 4096)
+                sys.core(c).mmu().translate(*b_child, va,
+                                            AccessType::Read, 0);
+        }
+    }
+    Vpn vpn = kVa >> 12;
+    for (auto _ : state) {
+        kernel.invalidateTlbs({vm::TlbInvalidate::Kind::SharedRange, a, 0,
+                               vpn++, 1, PageSize::Size4K});
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShootdownFanout)->Arg(0)->Arg(1);
 
 /** Heap-churn payload sized like a kernel PageTablePage. */
 struct ChurnObj

@@ -34,7 +34,11 @@
  *                                "merge": <number>, "weave": <number> } },
  *       ...
  *     },
- *     "notes": { "<key>": <number|string>, ... }
+ *     "notes": { "<key>": <number|string>, ... },
+ *     "host_meta": { "nproc": <n>, "affinity_cpus": <n>,
+ *                    "affinity_mask": "<hex>", "compiler": "<id ver>",
+ *                    "build_type": "<CMAKE_BUILD_TYPE>", "lto": <bool>,
+ *                    "git_rev": "<sha or unknown>" }
  *   }
  *
  * Version 2 added the host-speed section ("host": wall-clock seconds and
@@ -48,6 +52,9 @@
  * ("phases": seconds spent in the bound / fault-service / merge / weave
  * stages of the chunk loop, from System::phaseTimes) is likewise an
  * additive v3 field — absent when the bench did not collect it.
+ * "host_meta" (additive v3) names the machine and build that produced
+ * the numbers, so tools/bench_diff.py can tell a code change from a
+ * host change.
  *
  * Environment knobs: BF_JSON=0 disables the file; BF_JSON_DIR=<dir>
  * redirects it (default: the current directory).
@@ -56,17 +63,99 @@
 #ifndef BF_BENCH_REPORT_HH
 #define BF_BENCH_REPORT_HH
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/stats_export.hh"
 
+// Build facts bench/CMakeLists.txt passes in; neutral fallbacks keep the
+// header usable from any target.
+#ifndef BF_BENCH_BUILD_TYPE
+#define BF_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef BF_BENCH_LTO
+#define BF_BENCH_LTO 0
+#endif
+#ifndef BF_BENCH_COMPILER
+#define BF_BENCH_COMPILER "unknown"
+#endif
+
 namespace bfbench
 {
+
+/** Git revision of @p source_dir, or "unknown" (no git, not a clone). */
+inline std::string
+gitRevision(const std::string &source_dir)
+{
+    if (source_dir.empty())
+        return "unknown";
+    const std::string cmd =
+        "git -C '" + source_dir + "' rev-parse HEAD 2>/dev/null";
+    std::string rev;
+    if (FILE *pipe = popen(cmd.c_str(), "r")) {
+        char buf[64];
+        while (std::fgets(buf, sizeof buf, pipe))
+            rev += buf;
+        pclose(pipe);
+    }
+    while (!rev.empty() && (rev.back() == '\n' || rev.back() == ' '))
+        rev.pop_back();
+    return rev.empty() ? "unknown" : rev;
+}
+
+/**
+ * The "host_meta" object: CPU count, affinity (count and hex mask),
+ * compiler, build type, LTO and git revision of the producing build.
+ */
+inline std::string
+hostMetaJson()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    unsigned cpus = 0;
+    std::string mask = "?";
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+        cpus = static_cast<unsigned>(CPU_COUNT(&set));
+        int top = -1;
+        for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+            if (CPU_ISSET(cpu, &set))
+                top = cpu;
+        mask.clear();
+        for (int nibble = top / 4; nibble >= 0; --nibble) {
+            int v = 0;
+            for (int b = 0; b < 4; ++b)
+                if (CPU_ISSET(nibble * 4 + b, &set))
+                    v |= 1 << b;
+            mask += "0123456789abcdef"[v];
+        }
+        if (mask.empty())
+            mask = "0";
+    }
+#ifdef BF_BENCH_SOURCE_DIR
+    const std::string rev = gitRevision(BF_BENCH_SOURCE_DIR);
+#else
+    const std::string rev = "unknown";
+#endif
+    std::ostringstream os;
+    os << "{\"nproc\":" << std::thread::hardware_concurrency()
+       << ",\"affinity_cpus\":" << cpus << ",\"affinity_mask\":\""
+       << mask << "\",\"compiler\":\""
+       << bf::stats::jsonEscape(std::string(BF_BENCH_COMPILER) + " (" +
+                                __VERSION__ + ")")
+       << "\",\"build_type\":\""
+       << bf::stats::jsonEscape(BF_BENCH_BUILD_TYPE) << "\",\"lto\":"
+       << (BF_BENCH_LTO ? "true" : "false") << ",\"git_rev\":\""
+       << bf::stats::jsonEscape(rev) << "\"}";
+    return os.str();
+}
 
 /** Serialized observability output of one simulation run. */
 struct RunArtifacts
@@ -284,7 +373,7 @@ class BenchReport
                << "\":" << value;
             first = false;
         }
-        os << "}}\n";
+        os << "},\"host_meta\":" << hostMetaJson() << "}\n";
         std::printf("wrote %s\n", path().c_str());
     }
 

@@ -288,6 +288,8 @@ class Registry
 
     std::size_t numTenants() const { return tenants_.size(); }
     const Tenant &tenant(int slot) const { return tenants_[slot]; }
+    /** A tenant's row; the address is stable for the registry's life. */
+    Tenant &tenant(int slot) { return tenants_[slot]; }
 
     /**
      * Fold every core's sink into the tenant subtree and zero the
@@ -318,11 +320,16 @@ class Registry
     void
     noteShootdownReceived(int slot, bool cross)
     {
-        if (slot < 0)
-            return;
-        ++tenants_[slot].shootdowns_received;
+        if (slot >= 0)
+            noteShootdownReceived(tenants_[slot], cross);
+    }
+
+    static void
+    noteShootdownReceived(Tenant &row, bool cross)
+    {
+        ++row.shootdowns_received;
         if (cross)
-            ++tenants_[slot].shootdowns_received_cross;
+            ++row.shootdowns_received_cross;
     }
 
     void

@@ -202,10 +202,24 @@ ArchiveReader::fromFile(const std::string &path)
 void
 ArchiveReader::need(std::size_t n) const
 {
+    if (n > remaining())
+        throw SnapshotError("checkpoint read past end of data/section");
+}
+
+std::size_t
+ArchiveReader::remaining() const
+{
     const std::size_t limit =
         section_ends_.empty() ? payload_.size() : section_ends_.back();
-    if (pos_ + n > limit)
-        throw SnapshotError("checkpoint read past end of data/section");
+    return limit - pos_;
+}
+
+std::uint64_t
+ArchiveReader::bounded(std::uint64_t n, std::size_t min_bytes) const
+{
+    if (n > remaining() / min_bytes)
+        throw SnapshotError("checkpoint length field exceeds the data");
+    return n;
 }
 
 std::uint8_t

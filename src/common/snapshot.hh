@@ -116,6 +116,14 @@ class ArchiveReader
     void exitSection();
     /** @} */
 
+    /**
+     * Check an element count read from the archive before it sizes a
+     * container: each element occupies at least @p min_bytes, so a
+     * count the rest of the section cannot hold is a lying length
+     * field. @return @p n. @throws SnapshotError otherwise.
+     */
+    std::uint64_t bounded(std::uint64_t n, std::size_t min_bytes) const;
+
     /** Whether the cursor reached the end of the payload. */
     bool atEnd() const { return pos_ == payload_.size(); }
 
@@ -126,6 +134,8 @@ class ArchiveReader
 
     /** @throws SnapshotError when fewer than @p n bytes remain. */
     void need(std::size_t n) const;
+    /** Bytes left before the end of the open section (or payload). */
+    std::size_t remaining() const;
 };
 
 } // namespace bf::snap

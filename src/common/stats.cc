@@ -270,7 +270,7 @@ StatGroup::restoreStats(snap::ArchiveReader &ar)
     verifyCount("latency", *this, ar.u32(), latencies_.size());
     for (const auto &[name, stat] : latencies_) {
         verifyName("latency", *this, ar.str(), name);
-        std::vector<double> samples(ar.u64());
+        std::vector<double> samples(ar.bounded(ar.u64(), 8));
         for (double &s : samples)
             s = ar.f64();
         const_cast<LatencyTracker *>(stat)->restoreSamples(
@@ -279,7 +279,7 @@ StatGroup::restoreStats(snap::ArchiveReader &ar)
     verifyCount("distribution", *this, ar.u32(), distributions_.size());
     for (const auto &[name, stat] : distributions_) {
         verifyName("distribution", *this, ar.str(), name);
-        std::vector<std::uint64_t> buckets(ar.u32());
+        std::vector<std::uint64_t> buckets(ar.bounded(ar.u32(), 8));
         for (std::uint64_t &b : buckets)
             b = ar.u64();
         const std::uint64_t count = ar.u64();

@@ -409,6 +409,10 @@ TraceReader::TraceReader(const std::string &path)
         problem = "record size " + std::to_string(header_.record_bytes);
     else if (header_.num_cores == 0)
         problem = "zero cores";
+    else if (header_.num_cores > 0x10000)
+        // Records carry a u16 core id; a larger count is a lying field
+        // that would otherwise size per-core tables in the readers.
+        problem = "core count " + std::to_string(header_.num_cores);
     if (!problem.empty()) {
         std::fclose(file_);
         file_ = nullptr;

@@ -92,10 +92,10 @@ System::System(const SystemParams &params)
         std::max(1u, params_.workers), params_.num_cores);
     pool_ = std::make_unique<BoundPool>(bound_workers - 1);
 
-    kernel_->setTlbInvalidateHook([this](const vm::TlbInvalidate &inv) {
-        for (auto &core : cores_)
-            core->mmu().applyInvalidate(inv);
-    });
+    for (auto &core : cores_)
+        backends_.push_back(&core->mmu().backend());
+    kernel_->setTlbInvalidateHook(
+        [this](const vm::TlbInvalidate &inv) { broadcastInvalidate(inv); });
 
     if (!params_.trace_path.empty()) {
         tracer_ = std::make_unique<trace::Tracer>(
@@ -115,6 +115,15 @@ System::System(const SystemParams &params)
     }
 
     stat_group_.addStat("run_capped", &run_capped);
+}
+
+void
+System::broadcastInvalidate(const vm::TlbInvalidate &inv)
+{
+    for (translate::Backend *backend : backends_) {
+        if (backend->mayHold(inv))
+            backend->applyInvalidate(inv);
+    }
 }
 
 void
@@ -145,7 +154,7 @@ System::runChunk(Cycles barrier)
     // broadcast shootdowns freely. Faults of one round are a service
     // batch: the kernel may memoize VMA/table lookups across them
     // (vm/kernel.hh), which same-region fault storms amortize.
-    kernel_->beginFaultBatch();
+    std::optional<vm::FaultBatch> batch(std::in_place, *kernel_);
     for (;;) {
         pending_faults_.clear();
         for (unsigned c = 0; c < numCores(); ++c) {
@@ -208,7 +217,7 @@ System::runChunk(Cycles barrier)
         for (const auto &pf : pending_faults_)
             cores_[pf.core]->runUntil(barrier);
     }
-    kernel_->endFaultBatch();
+    batch.reset();
     const auto t_weave = hostclock::now();
     phase_times_.fault_seconds += elapsed(t_fault, t_weave);
 

@@ -54,6 +54,16 @@ class System
     void addThread(unsigned core, Thread *thread);
 
     /**
+     * Apply a kernel shootdown to every core that may hold something
+     * it drops — the kernel's invalidate hook. A core whose presence
+     * summary rules the shootdown out (translate::Backend::mayHold)
+     * costs one inline check and no virtual call; the others get the
+     * full applyInvalidate. Architecturally identical to applying it
+     * on every core (DESIGN.md §18).
+     */
+    void broadcastInvalidate(const vm::TlbInvalidate &inv);
+
+    /**
      * Run for @p duration cycles past the slowest core's current clock,
      * advancing cores in small lockstep chunks.
      *
@@ -191,6 +201,8 @@ class System
     std::unique_ptr<vm::Kernel> kernel_;
     std::unique_ptr<mem::CacheHierarchy> hierarchy_;
     std::vector<std::unique_ptr<Core>> cores_;
+    /** Each core's backend, flat, for the shootdown fan-out. */
+    std::vector<translate::Backend *> backends_;
     StatSampler sampler_;
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<attrib::Registry> attrib_;

@@ -67,6 +67,8 @@ Pwc::fill(int level, Addr entry_paddr)
         if (base[way].lru < victim->lru)
             victim = &base[way];
     }
+    if (!victim->valid)
+        setLive(live_ + 1);
     victim->tag = entry_paddr;
     victim->valid = true;
     victim->lru = ++lru_clock_;
@@ -76,8 +78,10 @@ void
 Pwc::invalidate(Addr entry_paddr)
 {
     for (auto &line : lines_) {
-        if (line.valid && line.tag == entry_paddr)
+        if (line.valid && line.tag == entry_paddr) {
             line.valid = false;
+            setLive(live_ - 1);
+        }
     }
 }
 
@@ -86,6 +90,7 @@ Pwc::invalidateAll()
 {
     for (auto &line : lines_)
         line.valid = false;
+    setLive(0);
 }
 
 void
@@ -118,11 +123,14 @@ Pwc::restore(snap::ArchiveReader &ar)
                                   "' checkpoint geometry mismatch");
     }
     lru_clock_ = ar.u64();
+    std::uint32_t live = 0;
     for (Line &line : lines_) {
         line.tag = ar.u64();
         line.valid = ar.b();
         line.lru = ar.u64();
+        live += line.valid;
     }
+    setLive(live);
 }
 
 } // namespace bf::tlb

@@ -17,6 +17,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "tlb/presence.hh"
 
 namespace bf::tlb
 {
@@ -63,9 +64,23 @@ class Pwc
     void
     reset()
     {
+        setLive(0);
         for (Line &line : lines_)
             line = Line{};
         lru_clock_ = 0;
+    }
+
+    /**
+     * Report the valid-line count into a backend's presence summary
+     * from now on (null detaches; see Tlb::attachPresence).
+     */
+    void
+    attachPresence(Presence *presence)
+    {
+        const std::uint32_t live = live_;
+        setLive(0);
+        presence_ = presence;
+        setLive(live);
     }
 
     Cycles accessCycles() const { return params_.access_cycles; }
@@ -96,10 +111,21 @@ class Pwc
     unsigned num_sets_;
     std::vector<Line> lines_; //!< level-major, then set, then way.
     std::uint64_t lru_clock_ = 0;
+    std::uint32_t live_ = 0;        //!< Valid lines.
+    Presence *presence_ = nullptr;  //!< Owning backend's summary.
     stats::StatGroup stat_group_;
 
     Line *setBase(int level, Addr entry_paddr);
     unsigned levelIndex(int level) const;
+
+    /** Set live_, mirroring the change into presence_. */
+    void
+    setLive(std::uint32_t live)
+    {
+        if (presence_)
+            presence_->pwc_live = presence_->pwc_live - live_ + live;
+        live_ = live;
+    }
 };
 
 } // namespace bf::tlb

@@ -199,7 +199,7 @@ Tlb::fill(const TlbEntry &new_entry, bool shared_dedup,
     }
     bool spilled = false;
     if (!victim->valid) {
-        ++valid_count_;
+        liveAdd();
     } else if (!same_identity_refill) {
         if (!victim->owned)
             bucketRemove(victim->ccid);
@@ -233,7 +233,7 @@ Tlb::invalidatePage(Pcid pcid, Vpn vpn)
         if ((key | 2u) == want && (id_[i] >> 16) == pcid) {
             entries_[i].valid = false;
             key_[i] = 0;
-            --valid_count_;
+            liveRemove();
             ++invalidations;
             if (!(key & 2u))
                 bucketRemove(static_cast<Ccid>(id_[i] & 0xffffu));
@@ -266,7 +266,7 @@ Tlb::invalidateSharedRange(Ccid ccid, Vpn first, std::uint64_t count)
             continue;
         entries_[i].valid = false;
         key_[i] = 0;
-        --valid_count_;
+        liveRemove();
         ++invalidations;
         bucketRemove(ccid);
     }
@@ -284,7 +284,7 @@ Tlb::invalidatePcid(Pcid pcid)
             continue;
         entries_[i].valid = false;
         key_[i] = 0;
-        --valid_count_;
+        liveRemove();
         ++invalidations;
         if (!(key & 2u))
             bucketRemove(static_cast<Ccid>(id_[i] & 0xffffu));
@@ -296,6 +296,7 @@ Tlb::invalidateAll()
 {
     if (valid_count_ == 0)
         return;
+    reportContents(false);
     for (auto &entry : entries_)
         entry.valid = false;
     std::fill(key_.begin(), key_.end(), 0);
@@ -306,6 +307,7 @@ Tlb::invalidateAll()
 void
 Tlb::reset()
 {
+    reportContents(false);
     for (auto &entry : entries_)
         entry = TlbEntry{};
     std::fill(key_.begin(), key_.end(), 0);
@@ -314,6 +316,27 @@ Tlb::reset()
     valid_count_ = 0;
     lru_clock_ = 0;
     rng_state_ = policySeed();
+}
+
+void
+Tlb::attachPresence(Presence *presence)
+{
+    reportContents(false);
+    presence_ = presence;
+    reportContents(true);
+}
+
+void
+Tlb::reportContents(bool add)
+{
+    if (!presence_)
+        return;
+    const auto apply = [add](std::uint32_t &total, std::uint32_t n) {
+        total = add ? total + n : total - n;
+    };
+    apply(presence_->tlb_live, valid_count_);
+    for (unsigned b = 0; b < Presence::kCcidBuckets; ++b)
+        apply(presence_->shared[b], shared_buckets_[b].count);
 }
 
 void
@@ -423,6 +446,10 @@ Tlb::restore(snap::ArchiveReader &ar)
     geometry(ar.u8() == static_cast<std::uint8_t>(params_.policy),
              "replacement policy");
 
+    // Detached while the contents are rewritten; re-attaching reports
+    // the restored contents once.
+    Presence *presence = presence_;
+    attachPresence(nullptr);
     lru_clock_ = ar.u64();
     rng_state_ = ar.u64();
     valid_count_ = ar.u32();
@@ -444,7 +471,11 @@ Tlb::restore(snap::ArchiveReader &ar)
         entry.fill_pcid = ar.u16();
         entry.lru = ar.u64();
     }
+    // The shootdown filters trust valid_count_: a count that disagrees
+    // with the entries is a corrupt archive, not a state to resume.
+    geometry(valid_count_ == recountValid(), "valid count");
     rebuildShadow();
+    attachPresence(presence);
 }
 
 } // namespace bf::tlb

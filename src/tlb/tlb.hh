@@ -15,6 +15,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "tlb/presence.hh"
 #include "tlb/tlb_entry.hh"
 
 namespace bf::tlb
@@ -161,6 +162,13 @@ class Tlb
      */
     unsigned validCount() const;
 
+    /**
+     * Report this structure's valid and shared entries into a backend's
+     * presence summary from now on (null detaches). The current
+     * contents are added on attach and withdrawn on detach.
+     */
+    void attachPresence(Presence *presence);
+
     const TlbParams &params() const { return params_; }
 
     /**
@@ -224,10 +232,11 @@ class Tlb
         Vpn vpn_min = ~0ull;
         Vpn vpn_max = 0;
     };
-    std::array<CcidBucket, 64> shared_buckets_{};
+    std::array<CcidBucket, Presence::kCcidBuckets> shared_buckets_{};
 
     std::uint64_t lru_clock_ = 0;
     std::uint64_t rng_state_ = 0;   //!< Random-policy xorshift state.
+    Presence *presence_ = nullptr;  //!< Owning backend's summary.
 
     stats::StatGroup stat_group_;
 
@@ -237,11 +246,33 @@ class Tlb
         return (vpn << 2) | (owned ? 2u : 0u) | 1u;
     }
 
-    CcidBucket &bucket(Ccid ccid) { return shared_buckets_[ccid & 63u]; }
+    CcidBucket &
+    bucket(Ccid ccid)
+    {
+        return shared_buckets_[Presence::bucket(ccid)];
+    }
+
+    void
+    liveAdd()
+    {
+        ++valid_count_;
+        if (presence_)
+            ++presence_->tlb_live;
+    }
+
+    void
+    liveRemove()
+    {
+        --valid_count_;
+        if (presence_)
+            --presence_->tlb_live;
+    }
 
     void
     bucketAdd(Ccid ccid, Vpn vpn)
     {
+        if (presence_)
+            ++presence_->shared[Presence::bucket(ccid)];
         CcidBucket &b = bucket(ccid);
         ++b.count;
         if (vpn < b.vpn_min)
@@ -253,6 +284,8 @@ class Tlb
     void
     bucketRemove(Ccid ccid)
     {
+        if (presence_)
+            --presence_->shared[Presence::bucket(ccid)];
         CcidBucket &b = bucket(ccid);
         --b.count;
         if (b.count == 0) {
@@ -272,6 +305,12 @@ class Tlb
 
     /** Rebuild every shadow key and occupancy bucket from entries_. */
     void rebuildShadow();
+
+    /**
+     * Add (or withdraw) the whole contents to (from) presence_: around
+     * the bulk paths that rewrite valid_count_ and the buckets at once.
+     */
+    void reportContents(bool add);
 
     /**
      * Set selection. Unlike the caches, a TLB's set count is not

@@ -36,6 +36,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/epoch.hh"
+#include "tlb/presence.hh"
 #include "translate/kind.hh"
 #include "vm/kernel.hh"
 #include "vm/tlb_hooks.hh"
@@ -134,6 +135,20 @@ class Backend
     virtual void applyInvalidate(const vm::TlbInvalidate &inv) = 0;
 
     /**
+     * Whether applyInvalidate(@p inv) could change anything: false is
+     * a proof that it would drop no entry and touch no counter, so the
+     * shootdown fan-out may skip this core. Non-virtual and O(1): it
+     * reads the presence summary the structures keep current.
+     */
+    bool mayHold(const vm::TlbInvalidate &inv) const
+    {
+        return presence_.mayHold(inv);
+    }
+
+    /** The presence summary behind mayHold() (tests, fan-out). */
+    const tlb::Presence &presence() const { return presence_; }
+
+    /**
      * Attach the core's bound-phase event log (null detaches). While
      * the log is active, translate() defers page faults into it and
      * returns Translation::blocked instead of calling the kernel.
@@ -189,6 +204,15 @@ class Backend
     virtual tlb::Pwc &pwc() = 0;
     virtual tlb::PageWalker &walker() = 0;
     /** @} */
+
+  protected:
+    /**
+     * Kept by the backend's structures: its TLBs and PWC report every
+     * fill and drop (Tlb/Pwc::attachPresence), and a backend with extra
+     * structures publishes their live count in presence_.extra after
+     * every change to them.
+     */
+    tlb::Presence presence_;
 };
 
 /**

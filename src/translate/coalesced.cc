@@ -66,6 +66,7 @@ CoalescedBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
                        proc.ccid());
         ++range_installs_;
     }
+    syncPresence();
 }
 
 void
@@ -76,6 +77,7 @@ CoalescedBackend::invalidateExtra(const vm::TlbInvalidate &inv)
     // stale range; resetting the detector forfeits only coalescing
     // opportunity, never correctness.
     detector_.clear();
+    syncPresence();
 }
 
 void
@@ -83,6 +85,7 @@ CoalescedBackend::flushExtra()
 {
     ranges_.clear();
     detector_.clear();
+    syncPresence();
 }
 
 void
@@ -104,6 +107,7 @@ CoalescedBackend::restoreExtra(snap::ArchiveReader &ar)
 {
     ranges_.restore(ar);
     detector_.restore(ar);
+    syncPresence();
 }
 
 } // namespace bf::translate

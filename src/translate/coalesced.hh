@@ -63,6 +63,18 @@ class CoalescedBackend : public PipelineBackend
   private:
     RangeTlb ranges_{ kRangeEntries };
     RunDetector detector_;
+
+    /**
+     * Publish ranges plus live runs as presence_.extra. A live run
+     * counts: every shootdown resets the detector (invalidateExtra),
+     * so a core with a run in progress is not "empty".
+     */
+    void
+    syncPresence()
+    {
+        presence_.extra = static_cast<std::uint32_t>(
+            ranges_.validCount() + detector_.liveCount());
+    }
     /**
      * A range hit synthesizes the covered 4K entry here so the base
      * translate() loop can treat it exactly like an L2 TLB hit (the

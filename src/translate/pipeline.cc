@@ -32,6 +32,12 @@ PipelineBackend::PipelineBackend(unsigned core_id,
     l2_[sizeIndex(PageSize::Size1G)] =
         std::make_unique<tlb::Tlb>(params_.l2_1g, &group_);
     pwc_ = std::make_unique<tlb::Pwc>(params_.pwc, &group_);
+    l1i_4k_->attachPresence(&presence_);
+    for (auto &tlb : l1d_)
+        tlb->attachPresence(&presence_);
+    for (auto &tlb : l2_)
+        tlb->attachPresence(&presence_);
+    pwc_->attachPresence(&presence_);
     walker_ = std::make_unique<tlb::PageWalker>(
         core_id_, hierarchy_, kernel_, *pwc_, params_.babelfish,
         &group_);
@@ -650,8 +656,10 @@ PipelineBackend::applyInvalidate(const vm::TlbInvalidate &inv)
 {
     using Kind = vm::TlbInvalidate::Kind;
     // Conservative: live-entry re-validation already catches every
-    // shot-down slot, but shootdowns are rare enough that retiring the
-    // whole L0 generation costs nothing and keeps the argument simple.
+    // shot-down slot, but a shootdown that reaches this core is rare
+    // enough that retiring the whole L0 generation costs nothing and
+    // keeps the argument simple. (One the fan-out filters away drops
+    // nothing, so it leaves every L0 slot exact without the bump.)
     ++l0_gen_;
     auto forEachTlb = [&](auto &&fn) {
         fn(*l1i_4k_);

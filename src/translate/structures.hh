@@ -58,7 +58,9 @@ class VictimStore
     insert(const tlb::TlbEntry &entry)
     {
         const std::size_t slot = slotIndex(entry.vpn, entry.size);
+        live_ -= slots_[slot].valid;
         slots_[slot] = entry;
+        live_ += slots_[slot].valid;
         return slot;
     }
 
@@ -92,13 +94,20 @@ class VictimStore
     }
 
     /** Drop one slot (entry migrated back into the TLB). */
-    void erase(std::size_t slot) { slots_[slot].valid = false; }
+    void
+    erase(std::size_t slot)
+    {
+        live_ -= slots_[slot].valid;
+        slots_[slot].valid = false;
+    }
 
     /** Apply a kernel shootdown (same reach rules as the TLBs). */
     void
     invalidate(const vm::TlbInvalidate &inv)
     {
         using Kind = vm::TlbInvalidate::Kind;
+        if (live_ == 0)
+            return;
         for (auto &e : slots_) {
             if (!e.valid)
                 continue;
@@ -106,7 +115,7 @@ class VictimStore
               case Kind::Page:
                 if (e.pcid == inv.pcid && e.size == inv.size &&
                     e.vpn == inv.vpn)
-                    e.valid = false;
+                    drop(e);
                 break;
               case Kind::SharedRange: {
                 if (e.owned || e.ccid != inv.ccid)
@@ -123,12 +132,12 @@ class VictimStore
                     last >>= shift;
                 }
                 if (e.vpn >= first && e.vpn <= last)
-                    e.valid = false;
+                    drop(e);
                 break;
               }
               case Kind::Pcid:
                 if (e.pcid == inv.pcid)
-                    e.valid = false;
+                    drop(e);
                 break;
             }
         }
@@ -139,16 +148,11 @@ class VictimStore
     {
         for (auto &e : slots_)
             e.valid = false;
+        live_ = 0;
     }
 
-    std::size_t
-    validCount() const
-    {
-        std::size_t n = 0;
-        for (const auto &e : slots_)
-            n += e.valid;
-        return n;
-    }
+    /** Valid slots, O(1). */
+    std::size_t validCount() const { return live_; }
 
     /** @{ @name Checkpointing (valid slots only, fixed order) */
     void
@@ -206,11 +210,23 @@ class VictimStore
             e.fill_pcid = ar.u32();
             e.lru = 0;
         }
+        // Recount: a repeated slot index must not inflate the count.
+        live_ = 0;
+        for (const auto &e : slots_)
+            live_ += e.valid;
     }
     /** @} */
 
   private:
     std::vector<tlb::TlbEntry> slots_;
+    std::size_t live_ = 0; //!< Valid slots.
+
+    void
+    drop(tlb::TlbEntry &e)
+    {
+        e.valid = false;
+        --live_;
+    }
 };
 
 /** One coalesced range: len contiguous 4K VPN→PPN pairs. */
@@ -285,6 +301,7 @@ class RangeTlb
                 if (e.lru < victim->lru)
                     victim = &e;
         }
+        live_ += !victim->valid;
         victim->valid = true;
         victim->base_vpn = base_vpn;
         victim->base_ppn = base_ppn;
@@ -304,10 +321,12 @@ class RangeTlb
     invalidate(const vm::TlbInvalidate &inv)
     {
         using Kind = vm::TlbInvalidate::Kind;
+        if (live_ == 0)
+            return;
         if (inv.kind == Kind::Pcid) {
             for (auto &e : entries_)
                 if (e.valid && e.pcid == inv.pcid)
-                    e.valid = false;
+                    drop(e);
             return;
         }
         // Express the shot-down range in 4K VPNs.
@@ -317,7 +336,7 @@ class RangeTlb
         for (auto &e : entries_) {
             if (e.valid && e.base_vpn <= last &&
                 e.base_vpn + e.len - 1 >= first)
-                e.valid = false;
+                drop(e);
         }
     }
 
@@ -326,16 +345,11 @@ class RangeTlb
     {
         for (auto &e : entries_)
             e.valid = false;
+        live_ = 0;
     }
 
-    std::size_t
-    validCount() const
-    {
-        std::size_t n = 0;
-        for (const auto &e : entries_)
-            n += e.valid;
-        return n;
-    }
+    /** Valid ranges, O(1). */
+    std::size_t validCount() const { return live_; }
 
     /** @{ @name Checkpointing (full array, LRU clock included) */
     void
@@ -361,6 +375,7 @@ class RangeTlb
         if (n != entries_.size())
             throw snap::SnapshotError("range-tlb size mismatch");
         lru_clock_ = ar.u64();
+        live_ = 0;
         for (auto &e : entries_) {
             e.valid = ar.b();
             e.base_vpn = ar.u64();
@@ -369,6 +384,7 @@ class RangeTlb
             e.pcid = ar.u32();
             e.ccid = ar.u32();
             e.lru = ar.u64();
+            live_ += e.valid;
         }
     }
     /** @} */
@@ -376,6 +392,14 @@ class RangeTlb
   private:
     std::vector<RangeEntry> entries_;
     std::uint64_t lru_clock_ = 0;
+    std::size_t live_ = 0; //!< Valid ranges.
+
+    void
+    drop(RangeEntry &e)
+    {
+        e.valid = false;
+        --live_;
+    }
 };
 
 /**
@@ -410,6 +434,7 @@ class RunDetector
             ppn == s.last_ppn + 1 && s.len < kMaxRun) {
             ++s.len;
         } else {
+            live_ += !s.live;
             s.live = true;
             s.pcid = pcid;
             s.base_vpn = vpn;
@@ -429,7 +454,11 @@ class RunDetector
     {
         for (auto &s : slots_)
             s.live = false;
+        live_ = 0;
     }
+
+    /** Slots with a run in progress, O(1). */
+    std::size_t liveCount() const { return live_; }
 
     /** @{ @name Checkpointing */
     void
@@ -452,8 +481,10 @@ class RunDetector
     {
         if (ar.u64() != kSlots)
             throw snap::SnapshotError("run-detector size mismatch");
+        live_ = 0;
         for (auto &s : slots_) {
             s.live = ar.b();
+            live_ += s.live;
             s.pcid = ar.u32();
             s.base_vpn = ar.u64();
             s.base_ppn = ar.u64();
@@ -478,6 +509,7 @@ class RunDetector
         std::uint32_t len = 0;
     };
     std::array<Slot, kSlots> slots_{};
+    std::size_t live_ = 0; //!< Slots with live set.
 };
 
 } // namespace bf::translate

@@ -43,6 +43,7 @@ VictimaBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
                                         &evicted)) {
         noteL2Evicted(proc, evicted);
         const std::size_t slot = store_.insert(evicted);
+        syncPresence();
         ++spills_;
         // The spill models data-array occupancy of the parked line in
         // the core's private L2 — where Victima stores translations —
@@ -84,6 +85,7 @@ VictimaBackend::backfill(vm::Process &proc, Addr va, AccessType type,
         out = *e;
         out.lru = 0;
         store_.erase(slot); // migrate back into the TLBs
+        syncPresence();
         ++store_hits_;
         return true;
     }
@@ -94,12 +96,14 @@ void
 VictimaBackend::invalidateExtra(const vm::TlbInvalidate &inv)
 {
     store_.invalidate(inv);
+    syncPresence();
 }
 
 void
 VictimaBackend::flushExtra()
 {
     store_.clear();
+    syncPresence();
 }
 
 void
@@ -120,6 +124,7 @@ void
 VictimaBackend::restoreExtra(snap::ArchiveReader &ar)
 {
     store_.restore(ar);
+    syncPresence();
 }
 
 } // namespace bf::translate

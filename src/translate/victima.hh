@@ -69,6 +69,13 @@ class VictimaBackend : public PipelineBackend
     /** Synthetic paddr of a store slot's cache line. */
     Addr storeAddr(std::size_t slot) const;
 
+    /** Publish the store's occupancy as presence_.extra. */
+    void
+    syncPresence()
+    {
+        presence_.extra = static_cast<std::uint32_t>(store_.validCount());
+    }
+
     VictimStore store_{ kStoreEntries };
     stats::StatGroup vgroup_;
     stats::Scalar spills_;     //!< L2-TLB evictions parked in the store.

@@ -123,8 +123,11 @@ Kernel::createProcess(Ccid ccid, const std::string &name)
     Process *raw = proc.get();
     processes_[pid] = std::move(proc);
     group.members.push_back(pid);
-    if (attrib_)
-        raw->setAttribSlot(attrib_->registerTenant(pid, ccid, pcid, name));
+    if (attrib_) {
+        const int slot = attrib_->registerTenant(pid, ccid, pcid, name);
+        raw->setAttribSlot(slot);
+        group.receivers.push_back(&attrib_->tenant(slot));
+    }
     return raw;
 }
 
@@ -1094,6 +1097,8 @@ Kernel::exitProcess(Process &proc)
                                  proc.pcid(), 0, 0, PageSize::Size4K});
     proc.markDead();
     std::erase(group.members, proc.pid());
+    if (attrib_ && proc.attribSlot() >= 0)
+        std::erase(group.receivers, &attrib_->tenant(proc.attribSlot()));
     processes_.erase(proc.pid());
     noteMutation();
     // Pids are never reused, so stale {pid, region} cache entries can
@@ -1154,18 +1159,14 @@ Kernel::invalidateTlbs(const TlbInvalidate &inv)
                                      inv.ccid != attrib_causer_ccid_);
         // Receivers: who loses cached translations. Page/Pcid kinds
         // target one PCID; SharedRange reaches every live group member
-        // (their shared O-clear entries are the ones dropped).
+        // (their shared O-clear entries are the ones dropped), billed
+        // from the group's receiver rows.
         if (inv.kind == TlbInvalidate::Kind::SharedRange) {
             const auto git = groups_.find(inv.ccid);
             if (git != groups_.end()) {
-                for (const Pid pid : git->second.members) {
-                    const Process *member = processByPid(pid);
-                    if (!member || !member->alive())
-                        continue;
-                    attrib_->noteShootdownReceived(
-                        member->attribSlot(),
-                        member->ccid() != attrib_causer_ccid_);
-                }
+                const bool cross = inv.ccid != attrib_causer_ccid_;
+                for (attrib::Tenant *row : git->second.receivers)
+                    attrib::Registry::noteShootdownReceived(*row, cross);
             }
         } else {
             const int slot = attrib_->slotOfPcid(inv.pcid);
@@ -1428,7 +1429,7 @@ Kernel::restore(snap::ArchiveReader &ar)
     next_object_id_ = ar.u64();
 
     const Ppn alloc_next = ar.u64();
-    std::vector<Ppn> free_list(ar.u64());
+    std::vector<Ppn> free_list(ar.bounded(ar.u64(), 8));
     for (Ppn &ppn : free_list)
         ppn = ar.u64();
     allocator_.restoreState(alloc_next, std::move(free_list));
@@ -1449,7 +1450,7 @@ Kernel::restore(snap::ArchiveReader &ar)
         ckptCheck(ar.b() == obj.isFile(), "object kind");
         const bool preloaded = ar.b();
         const unsigned mappers = ar.u32();
-        std::vector<Ppn> frames(ar.u64());
+        std::vector<Ppn> frames(ar.bounded(ar.u64(), 8));
         ckptCheck(frames.size() == obj.frames().size(),
                   "object frame count");
         for (Ppn &frame : frames)
@@ -1507,7 +1508,8 @@ Kernel::restore(snap::ArchiveReader &ar)
             proc.vmas().push_back(vma);
         }
 
-        std::vector<std::pair<Addr, int>> mask_bits(ar.u32());
+        std::vector<std::pair<Addr, int>> mask_bits(
+            ar.bounded(ar.u32(), 12));
         for (auto &[region, bit] : mask_bits) {
             region = ar.u64();
             bit = static_cast<int>(ar.u32());
@@ -1550,7 +1552,7 @@ Kernel::restore(snap::ArchiveReader &ar)
             std::array<std::uint32_t, entriesPerTable> bitmasks;
             for (auto &bits : bitmasks)
                 bits = ar.u32();
-            std::vector<Pid> pid_list(ar.u32());
+            std::vector<Pid> pid_list(ar.bounded(ar.u32(), 4));
             for (Pid &writer : pid_list)
                 writer = ar.u32();
             mask->restoreState(bitmasks, std::move(pid_list));

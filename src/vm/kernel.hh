@@ -21,6 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/object_pool.hh"
 #include "common/stats.hh"
 #include "common/trace/trace.hh"
@@ -37,6 +38,7 @@
 namespace bf::attrib
 {
 class Registry;
+struct Tenant;
 }
 
 namespace bf::vm
@@ -236,10 +238,26 @@ class Kernel
      * keyed by a mutation epoch that every structural change (table
      * alloc/free, mmap/munmap, fork/exit, shared-table attach, restore)
      * bumps, so a memo is only ever consulted when a fresh walk would
-     * return the identical result. Nested batches are not supported.
+     * return the identical result. Batches do not nest: opening one
+     * while another is open panics, and so does closing none. Prefer
+     * the FaultBatch scope guard below.
      */
-    void beginFaultBatch() { fault_batch_active_ = true; }
-    void endFaultBatch() { fault_batch_active_ = false; }
+    void
+    beginFaultBatch()
+    {
+        bf_assert(!fault_batch_active_,
+                  "nested fault batches are not supported");
+        fault_batch_active_ = true;
+    }
+
+    void
+    endFaultBatch()
+    {
+        bf_assert(fault_batch_active_, "no fault batch is open");
+        fault_batch_active_ = false;
+    }
+
+    bool faultBatchActive() const { return fault_batch_active_; }
     /** @} */
 
     /** Table object for a physical frame (used by the page walker). */
@@ -269,6 +287,14 @@ class Kernel
 
     /** Register the TLB shootdown callback (System wires the MMUs in). */
     void setTlbInvalidateHook(TlbInvalidateFn hook) { tlb_hook_ = std::move(hook); }
+
+    /**
+     * Issue one TLB shootdown: count it, bill its causer and receivers
+     * to their tenants, trace it, and hand it to the invalidate hook.
+     * The kernel's own mutation paths call this; it is public so
+     * benches and tests can drive the fan-out directly.
+     */
+    void invalidateTlbs(const TlbInvalidate &inv);
 
     /**
      * Attach the run's event tracer (System wires it; null detaches).
@@ -387,6 +413,12 @@ class Kernel
         AslrOffsets offsets; //!< Canonical (group) layout.
         std::uint64_t aslr_seed = 0;
         std::vector<Pid> members;
+        /**
+         * Tenant rows of the live members that have one, kept in step
+         * with members (create, fork, exit): a SharedRange shootdown
+         * bills every row here without a pid or slot lookup.
+         */
+        std::vector<attrib::Tenant *> receivers;
         std::map<SharedTableKey, SharedTableRecord> shared_tables;
         std::map<Addr, PoolPtr<MaskPage>> masks; //!< By region base.
         std::map<Addr, bool> mask_fallback; //!< Regions past 32 writers.
@@ -538,14 +570,32 @@ class Kernel
     /** Update O/ORPC bits in every group member's upper entry for va. */
     void propagateOrpc(Group &group, Addr va, int leaf_table_level);
 
-    /** Broadcast a shootdown if a hook is registered. */
-    void invalidateTlbs(const TlbInvalidate &inv);
-
     /** The leaf-table level for va in proc (2 for huge VMAs, else 1). */
     int leafTableLevel(const Process &proc, Addr va) const;
 
     Group &groupOf(const Process &proc);
     const Group &groupOf(const Process &proc) const;
+};
+
+/**
+ * Scope of one fault-service batch (Kernel::beginFaultBatch): opens it
+ * on construction and closes it on destruction, on every exit path.
+ * Opening a second guard while one is alive panics.
+ */
+class FaultBatch
+{
+  public:
+    explicit FaultBatch(Kernel &kernel) : kernel_(kernel)
+    {
+        kernel_.beginFaultBatch();
+    }
+    ~FaultBatch() { kernel_.endFaultBatch(); }
+
+    FaultBatch(const FaultBatch &) = delete;
+    FaultBatch &operator=(const FaultBatch &) = delete;
+
+  private:
+    Kernel &kernel_;
 };
 
 } // namespace bf::vm

@@ -175,6 +175,9 @@ void
 prefault(vm::Kernel &kernel, vm::Process &proc, Addr start,
          std::uint64_t bytes, AccessType type)
 {
+    // One service batch: consecutive pages share their VMA and leaf
+    // table, which the batch memos answer without a walk from the root.
+    const vm::FaultBatch batch(kernel);
     for (Addr va = start; va < start + bytes; va += basePageBytes) {
         const auto outcome = kernel.handleFault(proc, va, type);
         bf_assert(outcome.kind != vm::FaultKind::Protection,
@@ -517,7 +520,7 @@ DataServingThread::restoreState(snap::ArchiveReader &ar)
     restoreRngState(ar, tail_client_.rng());
     scan_cursor_ = ar.u64();
     batch_count_ = ar.u32();
-    std::vector<double> samples(ar.u64());
+    std::vector<double> samples(ar.bounded(ar.u64(), 8));
     for (double &sample : samples)
         sample = ar.f64();
     latency_.restoreSamples(std::move(samples));

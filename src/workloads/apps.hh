@@ -141,7 +141,10 @@ struct AppInstance
 AppInstance buildApp(vm::Kernel &kernel, const AppProfile &profile,
                      unsigned num_containers, std::uint64_t seed);
 
-/** Touch a VA range through the kernel (OS warm-up, not timed). */
+/**
+ * Touch a VA range through the kernel (OS warm-up, not timed), as one
+ * fault-service batch. Must not be called while a batch is open.
+ */
 void prefault(vm::Kernel &kernel, vm::Process &proc, Addr start,
               std::uint64_t bytes, AccessType type);
 

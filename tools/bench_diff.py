@@ -17,8 +17,16 @@ step (non-blocking) against the committed baselines so the BENCH
 trajectory is visible in every PR's logs without going red on noisy
 runner hardware.
 
+Each report's "host_meta" (CPU count, affinity, compiler, build type,
+LTO; bench/report.hh) is compared first. When the two differ, or one
+side does not record it, the tool prints a cross-host warning and
+marks every host row, because a ratio across machines or builds says
+nothing about the code. The git revision is listed but expected to
+differ.
+
 Usage:
   bench_diff.py BASELINE.json NEW.json [--threshold PCT] [--all]
+  bench_diff.py --selftest
 
   --threshold PCT  sim-MIPS drop (in percent) that counts as a
                    regression (default 15, matching the BF_MIPS_GUARD
@@ -47,6 +55,10 @@ EXIT_BAD_REPORT = 3
 
 # Deltas smaller than this are suppressed without --all.
 PRINT_THRESHOLD_PCT = 0.5
+
+# host_meta fields that must match for a like-for-like comparison.
+HOST_FIELDS = ("nproc", "affinity_cpus", "affinity_mask", "compiler",
+               "build_type", "lto")
 
 # Tenant-row fields worth tracking PR-over-PR (the rest of the row is
 # derivable or identity: name/pid/ccid/slot and the evicted_by maps).
@@ -116,14 +128,47 @@ def diff_metrics(old, new, pr):
     pr.flush_hidden()
 
 
-def diff_host(old, new, pr, threshold):
+def host_mismatch(old, new):
+    """Differing host_meta fields as (field, old, new); None = unknown."""
+    old_m = old.get("host_meta")
+    new_m = new.get("host_meta")
+    if not isinstance(old_m, dict) or not isinstance(new_m, dict):
+        return None
+    return [(f, old_m.get(f), new_m.get(f)) for f in HOST_FIELDS
+            if old_m.get(f) != new_m.get(f)]
+
+
+def report_hosts(old, new):
+    """Print the host comparison; True when the hosts may differ."""
+    mismatch = host_mismatch(old, new)
+    if mismatch is None:
+        missing = [side for side, rep in (("baseline", old), ("new", new))
+                   if not isinstance(rep.get("host_meta"), dict)]
+        print("WARNING: cross-host comparison: no host_meta in "
+              + " and ".join(missing)
+              + "; the ratios below may compare different machines")
+        return True
+    revs = (old["host_meta"].get("git_rev"), new["host_meta"].get("git_rev"))
+    print(f"host_meta: git_rev {revs[0]} -> {revs[1]}")
+    if not mismatch:
+        return False
+    print("WARNING: cross-host comparison: the reports come from "
+          "different hosts or builds; the ratios below are not a "
+          "code-only change:")
+    for field, o, n in mismatch:
+        print(f"  {field}: {o!r} -> {n!r}")
+    return True
+
+
+def diff_host(old, new, pr, threshold, cross_host=False):
     """Returns the labels whose sim-MIPS regressed beyond threshold."""
     old_h = old.get("host", {})
     new_h = new.get("host", {})
     regressed = []
     if not old_h and not new_h:
         return regressed
-    print("host:")
+    print("host (CROSS-HOST: not comparable as a code change):"
+          if cross_host else "host:")
     for label in sorted(set(old_h) | set(new_h)):
         if label not in old_h or label not in new_h:
             side = "baseline" if label not in new_h else "new report"
@@ -177,7 +222,59 @@ def diff_tenants(old, new, pr):
         pr.flush_hidden()
 
 
+def selftest():
+    """Check the host comparison on canned reports; runs no bench."""
+    import contextlib
+    import io
+
+    meta = {"nproc": 4, "affinity_cpus": 4, "affinity_mask": "f",
+            "compiler": "GNU 13.2.0 (13.2.0)", "build_type": "Release",
+            "lto": True, "git_rev": "a"}
+    base = {"bench": "b", "host": {"x": {"sim_mips": 100.0}},
+            "host_meta": meta}
+
+    def run(old, new):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cross = report_hosts(old, new)
+            diff_host(old, new, Printer(True), 15.0, cross)
+        return cross, out.getvalue()
+
+    failures = []
+
+    def check(name, cond):
+        if not cond:
+            failures.append(name)
+
+    same = dict(base, host_meta=dict(meta, git_rev="b"))
+    cross, text = run(base, same)
+    check("same host, new rev: no warning",
+          not cross and "WARNING" not in text and "a -> b" in text)
+    moved = dict(base, host_meta=dict(meta, nproc=1, affinity_cpus=1,
+                                      affinity_mask="1"))
+    cross, text = run(base, moved)
+    check("cpu change warns", cross and "cross-host" in text
+          and "nproc: 4 -> 1" in text and "CROSS-HOST" in text)
+    rebuilt = dict(base, host_meta=dict(meta, lto=False))
+    cross, text = run(base, rebuilt)
+    check("build change warns", cross and "lto: True -> False" in text)
+    legacy = {k: v for k, v in base.items() if k != "host_meta"}
+    cross, text = run(legacy, base)
+    check("missing metadata warns",
+          cross and "no host_meta in baseline" in text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        regressed = diff_host(base, dict(base, host={"x": {"sim_mips": 50.0}}),
+                              Printer(False), 15.0)
+    check("regression still reported", regressed == [("x", -50.0)])
+    for name in failures:
+        print(f"selftest FAILED: {name}")
+    print("selftest: " + ("ok" if not failures else "failed"))
+    return 0 if not failures else 1
+
+
 def main():
+    if "--selftest" in sys.argv[1:]:
+        sys.exit(selftest())
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", help="committed BENCH_*.json baseline")
     ap.add_argument("new", help="freshly produced BENCH_*.json")
@@ -197,9 +294,10 @@ def main():
     print(f"bench_diff: {args.baseline} -> {args.new} "
           f"(bench {new.get('bench')!r})")
 
+    cross_host = report_hosts(old, new)
     pr = Printer(args.all)
     diff_metrics(old, new, pr)
-    regressed = diff_host(old, new, pr, args.threshold)
+    regressed = diff_host(old, new, pr, args.threshold, cross_host)
     diff_tenants(old, new, pr)
 
     if regressed:

@@ -28,6 +28,8 @@ Ignored fields, by design:
                          no stats, so where the archive lives is
                          host-side bookkeeping)
   - host, notes         (host wall-clock / sim-MIPS and bookkeeping)
+  - host_meta           (CPU count, affinity, compiler, build type, LTO
+                         and git revision of the producing build)
   - series              (present for completeness; compared when both
                          sides have it)
 
@@ -90,7 +92,7 @@ import sys
 import tempfile
 
 # Top-level keys that describe the host, not the modeled machine.
-IGNORED_TOP_LEVEL = ("schema_version", "host", "notes")
+IGNORED_TOP_LEVEL = ("schema_version", "host", "notes", "host_meta")
 # weave_workers stays listed because the committed golden still carries
 # "config.weave_workers": 1 from when the weave could be sharded; the
 # golden must stay byte-identical, so the key is ignored, not rewritten.
